@@ -41,6 +41,8 @@ pub struct ModeTotals {
     pub expansions: u64,
     /// Frontier-heap re-keys (`sp.astar.retargets`).
     pub retargets: u64,
+    /// Heap entries those re-keys recomputed (`sp.astar.rekey.entries`).
+    pub rekey_entries: u64,
     /// Pack sweeps opened (zero in single-target mode).
     pub pack_sweeps: u64,
     /// Destinations resolved through packs.
@@ -63,6 +65,7 @@ impl ModeTotals {
     fn add(&mut self, r: &SkylineResult, io: f64) {
         self.expansions += r.stats.nodes_expanded;
         self.retargets += r.trace.get(Metric::SpAstarRetargets);
+        self.rekey_entries += r.trace.get(Metric::SpAstarRekeyEntries);
         self.pack_sweeps += r.trace.get(Metric::SpAstarPackSweeps);
         self.pack_targets += r.trace.get(Metric::SpAstarPackTargets);
         self.rekeys_avoided += r.trace.get(Metric::SpAstarPackRekeysAvoided);
@@ -182,6 +185,8 @@ pub fn sweep_report() {
     );
     row("rekey single", &|s| s.single.retargets as f64, 0);
     row("rekey batch", &|s| s.batched.retargets as f64, 0);
+    row("rekeyed single", &|s| s.single.rekey_entries as f64, 0);
+    row("rekeyed batch", &|s| s.batched.rekey_entries as f64, 0);
     row(
         "rekey red %",
         &|s| reduction_pct(s.single.retargets, s.batched.retargets),
@@ -206,6 +211,10 @@ pub fn render_json(series: &[SweepSeries], seeds: u64) -> String {
         out.push_str(&format!("      \"{label}\": {{\n"));
         out.push_str(&format!("        \"expansions\": {},\n", t.expansions));
         out.push_str(&format!("        \"retargets\": {},\n", t.retargets));
+        out.push_str(&format!(
+            "        \"rekey_entries\": {},\n",
+            t.rekey_entries
+        ));
         out.push_str(&format!("        \"pack_sweeps\": {},\n", t.pack_sweeps));
         out.push_str(&format!("        \"pack_targets\": {},\n", t.pack_targets));
         out.push_str(&format!(

@@ -483,9 +483,13 @@ impl DynamicEngine {
                         }
                         let (qu, qv) = qb[di][k];
                         let through = (qu + w + ov).min(qv + w + ou);
+                        // A bound that is exact along the path (ALT on a
+                        // landmark-aligned route) can land an ulp above a
+                        // true tie, so the certificate needs a margin.
+                        let tie = *v + rn_geom::EPSILON * v.max(1.0);
                         let clean = match side {
-                            CertSide::Old => through > *v,
-                            CertSide::New => through >= *v,
+                            CertSide::Old => through > tie,
+                            CertSide::New => through >= tie,
                         };
                         if !clean {
                             dirty[qi][slot] = true;

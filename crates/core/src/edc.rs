@@ -374,6 +374,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
     obs.add(Metric::SpAstarPackSweeps, stats.pack_sweeps);
     obs.add(Metric::SpAstarPackTargets, stats.pack_targets);
     obs.add(Metric::SpAstarPackRekeysAvoided, stats.pack_rekeys_avoided);
+    obs.add(Metric::SpAstarRekeyEntries, stats.rekey_entries);
 
     AlgoOutput {
         candidates: computed.len(),

@@ -525,6 +525,7 @@ fn run_mode(
     obs.add(Metric::SpAstarPackSweeps, stats.pack_sweeps);
     obs.add(Metric::SpAstarPackTargets, stats.pack_targets);
     obs.add(Metric::SpAstarPackRekeysAvoided, stats.pack_rekeys_avoided);
+    obs.add(Metric::SpAstarRekeyEntries, stats.rekey_entries);
 
     // On a budget trip, every live slab candidate — plus the Euclidean
     // head popped from the stream but not yet ingested — is unresolved;

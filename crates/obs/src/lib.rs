@@ -180,6 +180,11 @@ pub enum Metric {
     /// lower band was strictly dominated by an already-merged exact
     /// vector (their entire candidate set is provably dominated).
     DistShardsPruned,
+    /// A\*: frontier heap entries whose key was recomputed — the
+    /// frontier size per full re-key (first target, pack sweeps, bounds
+    /// without a retarget shift) plus one per lazily repaired entry:
+    /// the work behind the events `SpAstarRetargets` counts.
+    SpAstarRekeyEntries,
 }
 
 /// String table for [`Metric`], indexed by discriminant.
@@ -235,12 +240,13 @@ pub const METRIC_NAMES: [&str; Metric::COUNT] = [
     "dist.candidates.local",
     "dist.candidates.sent",
     "dist.shards.pruned",
+    "sp.astar.rekey.entries",
     // metric-names:end
 ];
 
 impl Metric {
     /// Number of registered metrics.
-    pub const COUNT: usize = 46;
+    pub const COUNT: usize = 47;
 
     /// Every metric, in export order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -290,6 +296,7 @@ impl Metric {
         Metric::DistCandidatesLocal,
         Metric::DistCandidatesSent,
         Metric::DistShardsPruned,
+        Metric::SpAstarRekeyEntries,
     ];
 
     /// The registered dotted name of this metric.

@@ -18,7 +18,12 @@
 //!   the candidate as soon as every `plb` proves it dominated.
 //!
 //! Retargeting keeps the settled map and the frontier's `g` values and
-//! merely re-keys the frontier heap under the new heuristic.
+//! re-keys the frontier heap under the new heuristic. Under a bound that
+//! moves by at most a known shift when the target moves (the Euclidean
+//! bound is 1-Lipschitz in its target), the re-key is lazy: old keys
+//! minus the accumulated shift stay valid heap priorities, and only the
+//! entries that surface at the top are recomputed. Pop order and `plb`
+//! are bitwise those of an eager rebuild (DESIGN.md §11.5).
 //!
 //! The heuristic itself is pluggable: every evaluation goes through the
 //! context's [`LowerBound`] seam ([`NetCtx::lb`]). The default Euclidean
@@ -34,7 +39,48 @@ use rn_geom::{OrdF64, Point};
 use rn_graph::{NetPosition, NodeId};
 use rn_storage::AdjRecord;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+
+/// Relative slack added to every lazy retarget shift (DESIGN.md §11.5).
+/// It covers the float rounding of keys, priorities and the shift sum
+/// for keys up to ~10⁶ times `1 + shift sum`, far beyond any network
+/// here, so a stored priority never rises above its entry's true one.
+const SHIFT_SLACK: f64 = 1e-9;
+
+/// One frontier-heap entry; the heap is a min-heap over the derived
+/// field order.
+///
+/// `key` is `g + h(n)` under the target of the re-key epoch `epoch`;
+/// `prio` is `key` plus the shift sum of that epoch. Priorities of all
+/// epochs are comparable, and an old entry's priority never exceeds the
+/// one its repaired key would get, so the top is either current (and the
+/// true minimum) or due for repair. Within one epoch `prio` is monotone
+/// in `key`, so current entries pop in exact `(key, g, node)` order; on a
+/// priority tie an older epoch sorts first and is repaired first.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    prio: OrdF64,
+    epoch: u32,
+    key: OrdF64,
+    g: OrdF64,
+    node: NodeId,
+}
+
+impl Entry {
+    /// An entry keyed in epoch `epoch`, whose shift sum is `shift` (0
+    /// after a full re-key, where `prio == key`).
+    #[inline]
+    fn new(key: f64, shift: f64, epoch: u32, g: f64, node: NodeId) -> Reverse<Entry> {
+        Reverse(Entry {
+            prio: OrdF64::new(key + shift),
+            epoch,
+            key: OrdF64::new(key),
+            g: OrdF64::new(g),
+            node,
+        })
+    }
+}
 
 /// Per-target state.
 struct Target {
@@ -114,6 +160,9 @@ pub struct AStarStats {
     /// Re-keys saved versus single-target resolution
     /// ([`AStar::pack_rekeys_avoided`]).
     pub pack_rekeys_avoided: u64,
+    /// Heap entries whose key was recomputed
+    /// ([`AStar::rekey_entries`]).
+    pub rekey_entries: u64,
 }
 
 impl AStarStats {
@@ -126,6 +175,7 @@ impl AStarStats {
         self.pack_sweeps += other.pack_sweeps;
         self.pack_targets += other.pack_targets;
         self.pack_rekeys_avoided += other.pack_rekeys_avoided;
+        self.rekey_entries += other.rekey_entries;
     }
 }
 
@@ -139,8 +189,20 @@ pub struct AStar<'a> {
     /// Frontier: best tentative distance and coordinates.
     open: NodeMap<(f64, Point)>,
     /// Min-heap keyed by `g + h(current target)`; entries carry `g` so
-    /// stale ones can be skipped after relaxations or retargets.
-    heap: BinaryHeap<Reverse<(OrdF64, OrdF64, NodeId)>>,
+    /// stale ones can be skipped after relaxations, and their re-key
+    /// epoch so lazily retargeted ones are repaired before use.
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// Pack-sweep min-heap, keyed by `g + h(pack heuristic)` with `g`
+    /// for stale-skipping. Pack keys never go lazy, so sweeps keep these
+    /// smaller entries apart from `heap`; every switch between the two
+    /// modes rebuilds the heap it enters.
+    pack_heap: BinaryHeap<Reverse<(OrdF64, OrdF64, NodeId)>>,
+    /// Current re-key epoch: bumped by each lazy retarget, reset to 0 by
+    /// each full re-key.
+    epoch: u32,
+    /// Sum of the slackened shifts of the lazy retargets since the last
+    /// full re-key.
+    shift: f64,
     target: Option<Target>,
     rec: AdjRecord,
     expansions: u64,
@@ -157,6 +219,9 @@ pub struct AStar<'a> {
     /// Re-keys pack sweeps saved versus single-target resolution (which
     /// pays one `set_target` re-key per destination).
     pack_rekeys_avoided: u64,
+    /// Heap entries whose key was recomputed: the frontier size per full
+    /// re-key plus one per lazy repair.
+    rekey_entries: u64,
 }
 
 impl<'a> AStar<'a> {
@@ -177,6 +242,9 @@ impl<'a> AStar<'a> {
             dist: NodeMap::new(ctx.net.node_count()),
             open: NodeMap::new(ctx.net.node_count()),
             heap: BinaryHeap::new(),
+            pack_heap: BinaryHeap::new(),
+            epoch: 0,
+            shift: 0.0,
             target: None,
             rec: AdjRecord::default(),
             expansions: 0,
@@ -185,6 +253,7 @@ impl<'a> AStar<'a> {
             pack_sweeps: 0,
             pack_targets: 0,
             pack_rekeys_avoided: 0,
+            rekey_entries: 0,
         };
         let edge = ctx.net.edge(source.edge);
         let (du, dv) = ctx.net.position_endpoint_dists(&source);
@@ -205,6 +274,7 @@ impl<'a> AStar<'a> {
         self.dist.clear();
         self.open.clear();
         self.heap.clear();
+        self.pack_heap.clear();
         self.target = None;
         self.expansions = 0;
         self.confirms = 0;
@@ -212,6 +282,7 @@ impl<'a> AStar<'a> {
         self.pack_sweeps = 0;
         self.pack_targets = 0;
         self.pack_rekeys_avoided = 0;
+        self.rekey_entries = 0;
         let edge = self.ctx.net.edge(source.edge);
         let (du, dv) = self.ctx.net.position_endpoint_dists(&source);
         self.open.insert(edge.u, (du, self.ctx.net.point(edge.u)));
@@ -260,6 +331,12 @@ impl<'a> AStar<'a> {
         self.pack_rekeys_avoided
     }
 
+    /// Heap entries whose key was recomputed so far: the frontier size
+    /// of every full re-key plus one per lazily repaired entry.
+    pub fn rekey_entries(&self) -> u64 {
+        self.rekey_entries
+    }
+
     /// All engine counters in one bundle — what the query coordinators
     /// harvest into the observability trace at end of run (and what the
     /// parallel backends ship back in worker replies).
@@ -271,6 +348,7 @@ impl<'a> AStar<'a> {
             pack_sweeps: self.pack_sweeps,
             pack_targets: self.pack_targets,
             pack_rekeys_avoided: self.pack_rekeys_avoided,
+            rekey_entries: self.rekey_entries,
         }
     }
 
@@ -282,6 +360,13 @@ impl<'a> AStar<'a> {
     /// Points the engine at a new target, re-keying the frontier under the
     /// new heuristic and seeding the best-known path from state already
     /// settled. Any previous target is abandoned.
+    ///
+    /// The re-key is lazy when the bound reports a finite
+    /// [`LowerBound::retarget_shift`] from the previous single target:
+    /// the epoch advances, the slackened shift joins the shift sum, and
+    /// entries are repaired only as they reach the top of the heap. The
+    /// first target after construction, a rebase or a pack sweep, and
+    /// every retarget under a bound without a shift, rebuild the heap.
     pub fn set_target(&mut self, pos: NetPosition) {
         self.retargets += 1;
         let lbt = LbTarget::of(self.ctx.net, &pos);
@@ -295,22 +380,46 @@ impl<'a> AStar<'a> {
         if let Some(dv) = self.dist.get_copied(lbt.ev) {
             known = known.min(dv + lbt.tv);
         }
-        // Rebuild the frontier heap with the new heuristic. NodeMap::iter
-        // walks only touched nodes, so a retarget costs O(|frontier|), not
-        // O(|V|).
-        self.heap.clear();
-        for (n, &(g, p)) in self.open.iter() {
-            let key = g + self.ctx.lb.node_bound(n, p, &lbt);
-            self.heap
-                .push(Reverse((OrdF64::new(key), OrdF64::new(g), n)));
-        }
-        let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
+        let shift = match &self.target {
+            Some(old) if self.epoch < u32::MAX => self.ctx.lb.retarget_shift(&old.lbt, &lbt),
+            _ => f64::INFINITY,
+        };
+        // The new target goes in before any key is computed: both the
+        // full re-key and the lazy repairs in frontier_key() key against
+        // it.
         self.target = Some(Target {
             pos,
             lbt,
             known,
-            plb,
+            plb: 0.0,
         });
+        if shift.is_finite() {
+            self.epoch += 1;
+            self.shift += shift + SHIFT_SLACK * (1.0 + shift + self.shift);
+        } else {
+            self.rekey_single();
+        }
+        let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
+        self.target.as_mut().expect("target just set").plb = plb;
+    }
+
+    /// Rebuilds the frontier heap under the current single target and
+    /// starts a fresh epoch. NodeMap::iter walks only touched nodes, so
+    /// this costs O(|frontier|), not O(|V|).
+    fn rekey_single(&mut self) {
+        let lbt = self.target.as_ref().expect("re-key requires a target").lbt;
+        let lb = self.ctx.lb;
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
+        entries.extend(
+            self.open
+                .iter()
+                .map(|(n, &(g, p))| Entry::new(g + lb.node_bound(n, p, &lbt), 0.0, 0, g, n)),
+        );
+        self.epoch = 0;
+        self.shift = 0.0;
+        self.rekey_entries += entries.len() as u64;
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// The current target position, if any.
@@ -318,14 +427,25 @@ impl<'a> AStar<'a> {
         self.target.as_ref().map(|t| t.pos)
     }
 
-    /// Current key at the top of the frontier heap (skipping stale
-    /// entries), i.e. the cheapest `g + h` of any unsettled node.
+    /// Current key at the top of the frontier heap, i.e. the cheapest
+    /// `g + h` of any unsettled node. Stale entries (superseded `g`, or a
+    /// settled node) are dropped; entries keyed in an older epoch are
+    /// re-keyed in place until the top is current.
     fn frontier_key(&mut self) -> Option<f64> {
-        while let Some(Reverse((key, g, n))) = self.heap.peek().copied() {
-            match self.open.get(n) {
-                Some(&(cur, _)) if cur == g.get() => return Some(key.get()),
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse(e) = *top;
+            match self.open.get(e.node) {
+                Some(&(cur, p)) if cur == e.g.get() => {
+                    if e.epoch == self.epoch {
+                        return Some(e.key.get());
+                    }
+                    let t = self.target.as_ref().expect("an old epoch implies a target");
+                    let key = cur + self.ctx.lb.node_bound(e.node, p, &t.lbt);
+                    self.rekey_entries += 1;
+                    *top = Entry::new(key, self.shift, self.epoch, cur, e.node);
+                }
                 _ => {
-                    self.heap.pop();
+                    PeekMut::pop(top);
                 }
             }
         }
@@ -383,8 +503,15 @@ impl<'a> AStar<'a> {
             }
         }
         // Pop the cheapest live frontier node. is_resolved() just cleaned
-        // stale heads, so the top is live.
-        let Some(Reverse((_key, g, n))) = self.heap.pop() else {
+        // stale heads and repaired old-epoch ones, so the top is live and
+        // keyed for the current target.
+        let Some(Reverse(Entry {
+            key: _key,
+            g,
+            node: n,
+            ..
+        })) = self.heap.pop()
+        else {
             return false;
         };
         let g = g.get();
@@ -435,7 +562,7 @@ impl<'a> AStar<'a> {
                 self.open.insert(ent.node, (ng, ent.point));
                 let key = ng + self.ctx.lb.node_bound(ent.node, ent.point, &lbt);
                 self.heap
-                    .push(Reverse((OrdF64::new(key), OrdF64::new(ng), ent.node)));
+                    .push(Entry::new(key, self.shift, self.epoch, ng, ent.node));
             }
         }
         true
@@ -541,7 +668,7 @@ impl<'a> AStar<'a> {
         #[cfg(feature = "invariant-checks")]
         let mut last_popped = 0.0f64;
         loop {
-            let fmin = self.frontier_key();
+            let fmin = self.pack_frontier_key();
             for t in ts.iter_mut() {
                 if t.resolved {
                     continue;
@@ -571,8 +698,8 @@ impl<'a> AStar<'a> {
                     break;
                 }
             }
-            // frontier_key() cleaned stale heads, so the top is live.
-            let Some(Reverse((_key, g, n))) = self.heap.pop() else {
+            // pack_frontier_key() cleaned stale heads, so the top is live.
+            let Some(Reverse((_key, g, n))) = self.pack_heap.pop() else {
                 continue;
             };
             let g = g.get();
@@ -631,8 +758,11 @@ impl<'a> AStar<'a> {
                 if better {
                     self.open.insert(ent.node, (ng, ent.point));
                     if let Some((_, h)) = pack_argmin(self.ctx.lb, &ts, ent.node, ent.point) {
-                        self.heap
-                            .push(Reverse((OrdF64::new(ng + h), OrdF64::new(ng), ent.node)));
+                        self.pack_heap.push(Reverse((
+                            OrdF64::new(ng + h),
+                            OrdF64::new(ng),
+                            ent.node,
+                        )));
                     }
                 }
             }
@@ -660,14 +790,14 @@ impl<'a> AStar<'a> {
         for t in ts.iter_mut() {
             t.in_epoch = !t.resolved;
         }
-        self.heap.clear();
-        for (n, &(g, p)) in self.open.iter() {
-            let Some((_, h)) = pack_argmin(self.ctx.lb, ts, n, p) else {
-                continue;
-            };
-            self.heap
-                .push(Reverse((OrdF64::new(g + h), OrdF64::new(g), n)));
-        }
+        let lb = self.ctx.lb;
+        let mut entries = std::mem::take(&mut self.pack_heap).into_vec();
+        entries.clear();
+        entries.extend(self.open.iter().filter_map(|(n, &(g, p))| {
+            pack_argmin(lb, ts, n, p).map(|(_, h)| Reverse((OrdF64::new(g + h), OrdF64::new(g), n)))
+        }));
+        self.rekey_entries += entries.len() as u64;
+        self.pack_heap = BinaryHeap::from(entries);
         if seed_known {
             for t in ts.iter_mut() {
                 if t.resolved {
@@ -681,6 +811,20 @@ impl<'a> AStar<'a> {
                 }
             }
         }
+    }
+
+    /// [`AStar::frontier_key`] for the pack heap: the cheapest live key
+    /// under the pack heuristic, dropping stale entries.
+    fn pack_frontier_key(&mut self) -> Option<f64> {
+        while let Some(Reverse((key, g, n))) = self.pack_heap.peek().copied() {
+            match self.open.get(n) {
+                Some(&(cur, _)) if cur == g.get() => return Some(key.get()),
+                _ => {
+                    self.pack_heap.pop();
+                }
+            }
+        }
+        None
     }
 }
 
@@ -1017,8 +1161,8 @@ mod tests {
         // frontier empty by resolving each target once first.
         let first = astar.distances_to_pack(&targets);
         // Drain the remaining frontier so every node is settled.
-        while astar.frontier_key().is_some() {
-            let Some(Reverse((_, gk, n))) = astar.heap.pop() else {
+        while astar.pack_frontier_key().is_some() {
+            let Some(Reverse((_, gk, n))) = astar.pack_heap.pop() else {
                 break;
             };
             let gk = gk.get();
@@ -1038,7 +1182,7 @@ mod tests {
                 if better {
                     astar.open.insert(ent.node, (ng, ent.point));
                     astar
-                        .heap
+                        .pack_heap
                         .push(Reverse((OrdF64::new(ng), OrdF64::new(ng), ent.node)));
                 }
             }
@@ -1215,6 +1359,328 @@ mod tests {
                     with_oracle.expansions(),
                     euclid.expansions()
                 );
+            }
+        }
+    }
+
+    /// Eager-rebuild reference A\*: the test oracle for lazy re-keying.
+    /// It keeps `(key, g, node)` heap entries and rebuilds the whole heap
+    /// from the frontier on every `set_target`, the textbook way; pack
+    /// sweeps are not reimplemented — after one, [`EagerRef::sync`]
+    /// copies the settled map and frontier of the engine under test.
+    #[derive(Clone)]
+    struct EagerRef<'c> {
+        ctx: &'c NetCtx<'c>,
+        source: NetPosition,
+        dist: std::collections::BTreeMap<NodeId, f64>,
+        open: std::collections::BTreeMap<NodeId, (f64, Point)>,
+        heap: BinaryHeap<Reverse<(OrdF64, OrdF64, NodeId)>>,
+        /// `(target, known, plb)`.
+        target: Option<(LbTarget, f64, f64)>,
+        /// Frontier entries keyed by full rebuilds.
+        rekeyed: u64,
+    }
+
+    impl<'c> EagerRef<'c> {
+        fn new(ctx: &'c NetCtx<'c>, source: NetPosition) -> Self {
+            let mut r = EagerRef {
+                ctx,
+                source,
+                dist: Default::default(),
+                open: Default::default(),
+                heap: BinaryHeap::new(),
+                target: None,
+                rekeyed: 0,
+            };
+            r.rebase(source);
+            r
+        }
+
+        fn rebase(&mut self, source: NetPosition) {
+            let net = self.ctx.net;
+            let edge = net.edge(source.edge);
+            let (du, dv) = net.position_endpoint_dists(&source);
+            self.source = source;
+            self.dist.clear();
+            self.open.clear();
+            self.heap.clear();
+            self.target = None;
+            self.open.insert(edge.u, (du, net.point(edge.u)));
+            self.open.insert(edge.v, (dv, net.point(edge.v)));
+        }
+
+        fn set_target(&mut self, pos: NetPosition) {
+            let lbt = LbTarget::of(self.ctx.net, &pos);
+            let mut known = f64::INFINITY;
+            if pos.edge == self.source.edge {
+                known = (pos.offset - self.source.offset).abs();
+            }
+            if let Some(du) = self.dist.get(&lbt.eu) {
+                known = known.min(du + lbt.tu);
+            }
+            if let Some(dv) = self.dist.get(&lbt.ev) {
+                known = known.min(dv + lbt.tv);
+            }
+            self.heap.clear();
+            for (&n, &(g, p)) in &self.open {
+                let key = g + self.ctx.lb.node_bound(n, p, &lbt);
+                self.heap
+                    .push(Reverse((OrdF64::new(key), OrdF64::new(g), n)));
+            }
+            self.rekeyed += self.open.len() as u64;
+            let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
+            self.target = Some((lbt, known, plb));
+        }
+
+        fn frontier_key(&mut self) -> Option<f64> {
+            while let Some(Reverse((key, g, n))) = self.heap.peek().copied() {
+                if self.open.get(&n).is_some_and(|&(cur, _)| cur == g.get()) {
+                    return Some(key.get());
+                }
+                self.heap.pop();
+            }
+            None
+        }
+
+        fn plb(&mut self) -> f64 {
+            let f = self.frontier_key().unwrap_or(f64::INFINITY);
+            let t = self.target.as_mut().unwrap();
+            t.2 = t.2.max(t.1.min(f));
+            t.2
+        }
+
+        fn is_resolved(&mut self) -> bool {
+            let f = self.frontier_key();
+            f.is_none_or(|f| self.target.unwrap().1 <= f)
+        }
+
+        fn result(&self) -> f64 {
+            self.target.unwrap().1
+        }
+
+        /// One expansion; the settled `(node, g)`, or `None` when resolved.
+        fn advance(&mut self) -> Option<(NodeId, f64)> {
+            if self.is_resolved() {
+                return None;
+            }
+            let Reverse((_, g, n)) = self.heap.pop().unwrap();
+            let g = g.get();
+            self.open.remove(&n);
+            self.dist.insert(n, g);
+            let t = self.target.as_mut().unwrap();
+            if n == t.0.eu {
+                t.1 = t.1.min(g + t.0.tu);
+            }
+            if n == t.0.ev {
+                t.1 = t.1.min(g + t.0.tv);
+            }
+            let lbt = t.0;
+            let mut rec = AdjRecord::default();
+            self.ctx.store.read_adjacency_into(n, &mut rec);
+            for ent in rec.entries {
+                if self.dist.contains_key(&ent.node) {
+                    continue;
+                }
+                let ng = g + ent.length;
+                if self.open.get(&ent.node).is_none_or(|&(cur, _)| ng < cur) {
+                    self.open.insert(ent.node, (ng, ent.point));
+                    let key = ng + self.ctx.lb.node_bound(ent.node, ent.point, &lbt);
+                    self.heap
+                        .push(Reverse((OrdF64::new(key), OrdF64::new(ng), ent.node)));
+                }
+            }
+            Some((n, g))
+        }
+
+        /// Adopts the settled map and frontier of `a` (after a pack
+        /// sweep), with no target.
+        fn sync(&mut self, a: &AStar<'_>) {
+            self.dist = a.dist.iter().map(|(n, &g)| (n, g)).collect();
+            self.open = a.open.iter().map(|(n, &e)| (n, e)).collect();
+            self.heap.clear();
+            self.target = None;
+        }
+    }
+
+    /// Steps `lazy` once and checks it against `eager`: the same node
+    /// settles at the same `g` bits, or both report resolved.
+    fn step_both(lazy: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
+        let next = lazy
+            .frontier_key()
+            .and_then(|_| lazy.heap.peek().map(|Reverse(e)| (e.node, e.g.get())));
+        let stepped = lazy.advance();
+        let want = eager.advance();
+        assert_eq!(stepped, want.is_some(), "{ctx}: advance disagrees");
+        if let Some((n, g)) = want {
+            let (ln, lg) = next.expect("lazy engine stepped");
+            assert_eq!((ln, lg.to_bits()), (n, g.to_bits()), "{ctx}: popped entry");
+        }
+    }
+
+    /// Checks `plb`, `is_resolved` and `result` bitwise.
+    fn probe_both(lazy: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
+        assert_eq!(lazy.plb().to_bits(), eager.plb().to_bits(), "{ctx}: plb");
+        assert_eq!(
+            lazy.is_resolved(),
+            eager.is_resolved(),
+            "{ctx}: is_resolved"
+        );
+        let known = lazy.target.as_ref().unwrap().known;
+        assert_eq!(known.to_bits(), eager.result().to_bits(), "{ctx}: result");
+    }
+
+    /// Random interleavings of every single-target operation, pack sweeps
+    /// and rebases, with `plb`/`is_resolved`/`result` and every popped
+    /// entry compared bitwise against the eager reference. Returns the
+    /// `(lazy, eager)` entries re-keyed by single-target operations.
+    fn interleave(ctx: &NetCtx<'_>, g: &RoadNetwork, seed: u64, ops: usize) -> (u64, u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // A small target pool makes repeats (δ = 0) and ping-pong common.
+        let pool: Vec<NetPosition> = (0..6).map(|_| rand_pos(g, &mut rng)).collect();
+        let src = rand_pos(g, &mut rng);
+        let mut lazy = AStar::new(ctx, src);
+        let mut eager = EagerRef::new(ctx, src);
+        let mut lazy_rekeyed = 0;
+        for op in 0..ops {
+            let at = format!("seed {seed} op {op}");
+            let before = lazy.rekey_entries();
+            match rng.random_range(0..100) {
+                0..30 => {
+                    let t = pool[rng.random_range(0..pool.len())];
+                    lazy.set_target(t);
+                    eager.set_target(t);
+                    probe_both(&mut lazy, &mut eager, &at);
+                    lazy_rekeyed += lazy.rekey_entries() - before;
+                }
+                30..85 if eager.target.is_some() => {
+                    for _ in 0..rng.random_range(1..6) {
+                        step_both(&mut lazy, &mut eager, &at);
+                    }
+                    probe_both(&mut lazy, &mut eager, &at);
+                    lazy_rekeyed += lazy.rekey_entries() - before;
+                }
+                85..95 => {
+                    let k = rng.random_range(1..4);
+                    let pack: Vec<NetPosition> = (0..k)
+                        .map(|_| pool[rng.random_range(0..pool.len())])
+                        .collect();
+                    let got = lazy.distances_to_pack(&pack);
+                    for (i, &t) in pack.iter().enumerate() {
+                        let mut exact = eager.clone();
+                        exact.set_target(t);
+                        while exact.advance().is_some() {}
+                        assert_eq!(
+                            got[i].to_bits(),
+                            exact.result().to_bits(),
+                            "{at}: pack[{i}]"
+                        );
+                    }
+                    eager.sync(&lazy);
+                }
+                95..100 => {
+                    let s = rand_pos(g, &mut rng);
+                    lazy.rebase(s);
+                    eager.rebase(s);
+                }
+                _ => {}
+            }
+        }
+        (lazy_rekeyed, eager.rekeyed)
+    }
+
+    #[test]
+    fn lazy_rekey_matches_eager_reference_bitwise() {
+        let mut lazy_total = 0;
+        let mut eager_total = 0;
+        for seed in 0..8u64 {
+            let g = random_net(80, seed + 900);
+            let store = NetworkStore::build(&g);
+            let mid = MiddleLayer::build(&g, &[]);
+            let ctx = NetCtx::new(&g, &store, &mid);
+            let (l, e) = interleave(&ctx, &g, seed, 400);
+            lazy_total += l;
+            eager_total += e;
+        }
+        // Not vacuous: the Euclidean bound really did retarget lazily.
+        assert!(
+            lazy_total < eager_total,
+            "lazy re-keyed {lazy_total} entries, eager {eager_total}"
+        );
+    }
+
+    #[test]
+    fn bounds_without_a_shift_take_the_full_rekey() {
+        use crate::oracle::{AltOracle, BlockOracle};
+        for seed in 0..3u64 {
+            let g = random_net(70, seed + 950);
+            let store = NetworkStore::build(&g);
+            let mid = MiddleLayer::build(&g, &[]);
+            let alt = AltOracle::build(&g, &store, &mid, 8);
+            let block = BlockOracle::build(&g, &store, &mid, 16, 0.5);
+            for oracle in [&alt as &dyn LowerBound, &block as &dyn LowerBound] {
+                let ctx = NetCtx::new(&g, &store, &mid).with_bound(oracle);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut a = AStar::new(&ctx, rand_pos(&g, &mut rng));
+                for _ in 0..20 {
+                    a.set_target(rand_pos(&g, &mut rng));
+                    assert_eq!(a.epoch, 0, "{:?}: retarget went lazy", oracle.kind());
+                    for _ in 0..3 {
+                        a.advance();
+                    }
+                }
+                let (l, e) = interleave(&ctx, &g, seed + 10, 300);
+                assert_eq!(l, e, "{:?}: every re-key is full", oracle.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_rekey_edge_cases_match_eager() {
+        let g = random_net(90, 977);
+        let store = NetworkStore::build(&g);
+        let mid = MiddleLayer::build(&g, &[]);
+        let ctx = NetCtx::new(&g, &store, &mid);
+        let mut rng = StdRng::seed_from_u64(3);
+        let src = rand_pos(&g, &mut rng);
+        let (a, b) = (rand_pos(&g, &mut rng), rand_pos(&g, &mut rng));
+        let mut lazy = AStar::new(&ctx, src);
+        let mut eager = EagerRef::new(&ctx, src);
+
+        // Long A/B ping-pong: the shift sum piles up across hundreds of
+        // epochs with a step or two between retargets. Each plb right
+        // after set_target also catches a repair keyed against the old
+        // target (the new one must be installed first).
+        for round in 0..300 {
+            let t = if round % 2 == 0 { a } else { b };
+            lazy.set_target(t);
+            eager.set_target(t);
+            probe_both(&mut lazy, &mut eager, &format!("ping-pong {round}"));
+            for _ in 0..(round % 3) {
+                step_both(&mut lazy, &mut eager, &format!("ping-pong {round}"));
+            }
+        }
+        assert!(lazy.epoch > 100, "ping-pong stayed lazy");
+
+        // Retargeting to the same target: δ = 0.
+        for i in 0..5 {
+            lazy.set_target(b);
+            eager.set_target(b);
+            probe_both(&mut lazy, &mut eager, &format!("same target {i}"));
+            step_both(&mut lazy, &mut eager, &format!("same target {i}"));
+        }
+
+        // Retargeting right after a pack sweep: a full re-key of the
+        // pack-keyed heap, then lazy again.
+        let pack = [rand_pos(&g, &mut rng), rand_pos(&g, &mut rng)];
+        lazy.distances_to_pack(&pack);
+        eager.sync(&lazy);
+        for (i, t) in [a, b, a].into_iter().enumerate() {
+            lazy.set_target(t);
+            eager.set_target(t);
+            assert_eq!(lazy.epoch, i as u32, "pack sweep must force a full re-key");
+            probe_both(&mut lazy, &mut eager, &format!("after pack {i}"));
+            while eager.target.is_some() && !eager.is_resolved() {
+                step_both(&mut lazy, &mut eager, &format!("after pack {i}"));
             }
         }
     }

@@ -152,3 +152,47 @@ proptest! {
         prop_assert_eq!(dyn_canon(&d.skyline(q)), canon(&brute), "{:?}", p);
     }
 }
+
+/// Regression: a weight increase whose ALT certificate ties the stored
+/// distance exactly. ALT is exact along landmark-aligned paths, so the
+/// float bound `through` came out one ulp above the true tie
+/// (2124.1949266946112 against 2124.19492669461) and certified stale
+/// distances clean, 31.38 short after e1581 rose 30.34 → 70.04. The
+/// certificate's tolerance (DESIGN.md §15.2) must send them to repair.
+#[test]
+fn alt_certificate_tie_is_not_certified_clean() {
+    use msq_core::SkylineEngine;
+    use rn_graph::{EdgeId, NetPosition, Update, UpdateBatch};
+    use rn_workload::{generate_objects, Preset};
+
+    let net = Preset::Ca.generate(42);
+    let objects = generate_objects(&net, 0.5, 4242);
+    let mut engine = SkylineEngine::build(net, objects);
+    engine.set_bound(BoundSpec::Alt { landmarks: 16 });
+    let mut d = DynamicEngine::with_config(
+        engine,
+        DynamicConfig {
+            oracle: OracleMaintenance::Rebuild,
+            ..DynamicConfig::default()
+        },
+    );
+    let points = [
+        NetPosition::new(EdgeId(2227), 14.580755811535699),
+        NetPosition::new(EdgeId(3014), 20.615489219315155),
+        NetPosition::new(EdgeId(2021), 22.49345089215846),
+        NetPosition::new(EdgeId(1342), 13.179889126652688),
+    ];
+    let q = d.register_query(&points);
+    d.apply(&UpdateBatch::new(vec![Update::SetEdgeWeight {
+        edge: EdgeId(1581),
+        weight: 70.03595254199278,
+    }]));
+
+    let mut scratch = DynamicEngine::new(d.scratch_engine());
+    let sq = scratch.register_query(d.query_points(q));
+    assert_eq!(
+        dyn_canon(&d.skyline(q)),
+        dyn_canon(&scratch.skyline(sq)),
+        "maintained skyline diverged from a scratch rebuild"
+    );
+}
