@@ -31,7 +31,7 @@
 
 use crate::harness::{build_engine, print_header, seed_count, Setting};
 use msq_core::dist::protocol;
-use msq_core::{Algorithm, DistEngine, SkylineEngine};
+use msq_core::{Algorithm, DistEngine, InProcessBackend, SkylineEngine};
 use rn_workload::{generate_queries, Preset};
 
 /// Shard counts the report sweeps.
@@ -157,7 +157,7 @@ pub fn collect(engine: &SkylineEngine, nq: usize, k: usize, seeds: u64) -> Vec<D
                 let queries = generate_queries(engine.network(), nq, 0.316, 1000 + seed);
                 let single = engine.run_cold(algo, &queries);
                 let t0 = std::time::Instant::now();
-                let r = dist.run_local(algo, &queries, WORKERS);
+                let r = dist.run(algo, &queries, &InProcessBackend { workers: WORKERS });
                 s.wall_ms += t0.elapsed().as_secs_f64() * 1e3;
                 assert_eq!(
                     r.ids(),

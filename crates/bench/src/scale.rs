@@ -26,7 +26,7 @@
 //! part of the no-args everything run.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{Algorithm, BatchEngine, SkylineEngine, SkylineResult};
+use msq_core::{Algorithm, BatchEngine, Query, SkylineEngine, SkylineResult};
 use rn_graph::{NetPosition, NodeId};
 use rn_storage::{AdjRecord, IoSnapshot, NetworkStore, PoolConfig};
 use rn_workload::{generate_queries, stream_build, Preset, StreamBuildReport, StreamNetConfig};
@@ -113,6 +113,14 @@ fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The LBC query of every point set in `batch`.
+fn lbc_queries(batch: &[Vec<NetPosition>]) -> Vec<Query<'_>> {
+    batch
+        .iter()
+        .map(|q| Query::new(Algorithm::Lbc, q))
+        .collect()
+}
+
 /// An order-sensitive digest of every skyline point and distance vector
 /// in a batch — two batches digest equal iff they are bitwise identical.
 pub fn skyline_digest(results: &[SkylineResult]) -> u64 {
@@ -135,6 +143,7 @@ pub fn skyline_digest(results: &[SkylineResult]) -> u64 {
 /// Panics if any pool shape changes any skyline bit.
 pub fn ca_sweep(engine: &SkylineEngine, batch: &[Vec<NetPosition>]) -> (Vec<SweepCell>, u64) {
     let be = BatchEngine::new(engine, 1);
+    let batch = lbc_queries(batch);
     let mut cells = Vec::new();
     let mut digest: Option<u64> = None;
     for &pool_kb in &POOL_KB {
@@ -145,7 +154,7 @@ pub fn ca_sweep(engine: &SkylineEngine, batch: &[Vec<NetPosition>]) -> (Vec<Swee
                     shards,
                     readahead,
                 };
-                let out = be.run_shared(Algorithm::Lbc, batch, config);
+                let out = be.run_shared(&batch, config);
                 let d = skyline_digest(&out.results);
                 match digest {
                     None => digest = Some(d),
@@ -184,10 +193,11 @@ pub fn multi_session(
         shards: 4,
         readahead,
     };
+    let batch = lbc_queries(batch);
     let mut cells = Vec::new();
     for &w in &SESSION_WORKERS {
         let be = BatchEngine::new(engine, w);
-        let private = be.run(Algorithm::Lbc, batch);
+        let private = be.run(&batch);
         assert_eq!(
             skyline_digest(&private.results),
             want_digest,
@@ -204,7 +214,7 @@ pub fn multi_session(
             wall_ms: private.wall.as_secs_f64() * 1e3,
         });
         for readahead in [0usize, 4] {
-            let out = be.run_shared(Algorithm::Lbc, batch, shared(readahead));
+            let out = be.run_shared(&batch, shared(readahead));
             assert_eq!(
                 skyline_digest(&out.results),
                 want_digest,
@@ -587,9 +597,9 @@ mod tests {
             .map(|i| generate_queries(engine.network(), setting.nq, 0.316, 3000 + i as u64))
             .collect();
         let be = BatchEngine::new(&engine, 1);
-        let private = be.run(Algorithm::Lbc, &batch);
+        let batch = lbc_queries(&batch);
+        let private = be.run(&batch);
         let shared = be.run_shared(
-            Algorithm::Lbc,
             &batch,
             PoolConfig {
                 buffer_bytes: 1 << 20,

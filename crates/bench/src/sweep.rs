@@ -22,7 +22,7 @@
 //! BENCH_4.json are bit-reproducible for a given `MSQ_SEEDS`.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{Algorithm, Metric, SkylineResult, SweepMode};
+use msq_core::{Algorithm, Metric, Query, SkylineResult, SweepMode};
 use rn_workload::{generate_queries, Preset};
 
 /// The algorithms whose distance resolution goes through batches. CE
@@ -133,8 +133,16 @@ pub fn collect(setting: &Setting, seeds: u64) -> Vec<SweepSeries> {
             let mut batched = ModeTotals::default();
             for seed in 0..seeds {
                 let queries = generate_queries(engine.network(), setting.nq, 0.316, 1000 + seed);
-                let s = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
-                let b = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+                let run = |sweep| {
+                    engine.clear_buffer();
+                    let q = Query {
+                        sweep,
+                        ..Query::new(algo, &queries)
+                    };
+                    engine.execute(&q, engine.store_ref())
+                };
+                let s = run(SweepMode::SingleTarget);
+                let b = run(SweepMode::Batched);
                 assert_eq!(
                     canon(&s),
                     canon(&b),

@@ -18,7 +18,7 @@
 //!   this is the number the ≥ 2× acceptance criterion reads.
 
 use crate::harness::{build_engine, io_ms, print_header, seed_count, Setting};
-use msq_core::{Algorithm, BatchEngine, SkylineEngine};
+use msq_core::{Algorithm, BatchEngine, Query, SkylineEngine};
 use rn_workload::{generate_queries, Preset};
 
 /// Worker counts swept, mirroring the README throughput table.
@@ -65,9 +65,10 @@ pub fn sweep(
     batch: &[Vec<rn_graph::NetPosition>],
 ) -> ThroughputSeries {
     let io = io_ms();
+    let batch: Vec<Query<'_>> = batch.iter().map(|q| Query::new(algo, q)).collect();
     // Baseline: the 1-worker run supplies both the measured 1-worker wall
     // and the per-query costs the makespan model distributes.
-    let base = BatchEngine::new(engine, 1).run(algo, batch);
+    let base = BatchEngine::new(engine, 1).run(&batch);
     let costs: Vec<f64> = base
         .results
         .iter()
@@ -80,7 +81,7 @@ pub fn sweep(
         let wall_ms = if w == 1 {
             base.wall.as_secs_f64() * 1e3
         } else {
-            let out = BatchEngine::new(engine, w).run(algo, batch);
+            let out = BatchEngine::new(engine, w).run(&batch);
             out.wall.as_secs_f64() * 1e3
         };
         // Round-robin by query index: worker k serves queries i ≡ k (mod w).

@@ -7,8 +7,8 @@
 //! which have pre-computed 'network distances' to all data objects."
 //!
 //! An [`AttrTable`] holds `k` static minimisation attributes per object
-//! (price, rating-as-cost, ...). When supplied to
-//! [`crate::SkylineEngine::run_with_attrs`], every object's skyline vector
+//! (price, rating-as-cost, ...). When supplied as
+//! [`crate::Query::attrs`], every object's skyline vector
 //! becomes `(d_N(q_1, p), ..., d_N(q_n, p), a_1(p), ..., a_k(p))` and all
 //! three algorithms adjudicate dominance over the full `n + k` dimensions:
 //!

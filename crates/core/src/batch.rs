@@ -2,19 +2,18 @@
 //! read-only network + R-tree (DESIGN.md §9).
 //!
 //! [`BatchEngine`] is the throughput-oriented face of
-//! [`SkylineEngine`]: it executes a slice of independent query sets
-//! concurrently, each against its own **cold private store session** of
+//! [`SkylineEngine`]: it executes a slice of independent [`Query`]
+//! values concurrently, each against its own **cold private store session** of
 //! the engine's buffer capacity. Because a session replays exactly the
 //! page-access sequence a sequential [`SkylineEngine::run_cold`] would
 //! produce, every per-query statistic — skyline set, vectors, page
 //! faults — is bitwise identical to the sequential run at every worker
 //! count; only the wall clock changes.
 
-use crate::engine::{Algorithm, SkylineEngine, SkylineResult};
+use crate::engine::{Query, SkylineEngine, SkylineResult};
 use crate::stats::Stopwatch;
-use rn_graph::NetPosition;
-use rn_obs::{Event, Metric, QueryBudget, QueryTrace};
-use rn_storage::{IoSnapshot, PoolConfig};
+use rn_obs::{Event, Metric, QueryTrace};
+use rn_storage::{IoSnapshot, NetworkStore, PoolConfig};
 use std::time::Duration;
 
 /// Executes batches of independent queries concurrently over one shared
@@ -27,7 +26,7 @@ pub struct BatchEngine<'e> {
 /// What a batch run produces: per-query results (in batch order) plus the
 /// batch-level costs.
 pub struct BatchOutcome {
-    /// One [`SkylineResult`] per input query set, in input order.
+    /// One [`SkylineResult`] per input query, in input order.
     pub results: Vec<SkylineResult>,
     /// Index node reads (object R-tree + middle layer) across the whole
     /// batch. The index counters are shared atomics, so under concurrency
@@ -42,8 +41,8 @@ pub struct BatchOutcome {
     /// identical at every worker count (DESIGN.md §10).
     pub trace: QueryTrace,
     /// Aggregate network I/O of the whole batch. For the private-session
-    /// modes this is reassembled from the merged trace (so it inherits
-    /// their determinism); for [`BatchEngine::run_shared`] it is the
+    /// path ([`BatchEngine::run`]) this is reassembled from the merged
+    /// trace (so it inherits its determinism); for [`BatchEngine::run_shared`] it is the
     /// shared pool's own counter delta — exact in aggregate, but how the
     /// faults split across queries depends on scheduling.
     pub io: IoSnapshot,
@@ -64,64 +63,23 @@ impl<'e> BatchEngine<'e> {
         self.workers
     }
 
-    /// Runs `algo` for every query set in `batch` concurrently and returns
-    /// the per-query results in input order.
+    /// Runs every query of `batch` concurrently and returns the
+    /// per-query results in input order.
     ///
     /// Queries are claimed dynamically (whichever worker is free takes the
     /// next index), but each runs sequentially against a private cold
     /// session, so results and per-query fault counts match
     /// [`SkylineEngine::run_cold`] exactly — see
-    /// `tests/parallel_equivalence.rs`.
+    /// `tests/batch_equivalence.rs`. A [`Query::budget`] applies to
+    /// **each query independently**: which queries come back
+    /// [`Completion::Partial`](crate::Completion::Partial) is a pure
+    /// function of the budget and the query, never of the worker count
+    /// or scheduling.
     ///
     /// # Panics
-    /// Panics when any query set in the batch is empty.
-    pub fn run(&self, algo: Algorithm, batch: &[Vec<NetPosition>]) -> BatchOutcome {
-        self.run_with_budget(algo, batch, &QueryBudget::unlimited())
-    }
-
-    /// [`BatchEngine::run`] under a per-query [`QueryBudget`].
-    ///
-    /// The budget applies to **each query independently** — every query
-    /// gets its own guard over its own private session, so which queries
-    /// come back [`Completion::Partial`](crate::Completion::Partial) is a
-    /// pure function of the budget and the query, never of the worker
-    /// count or scheduling.
-    ///
-    /// # Panics
-    /// Panics when any query set in the batch is empty.
-    pub fn run_with_budget(
-        &self,
-        algo: Algorithm,
-        batch: &[Vec<NetPosition>],
-        budget: &QueryBudget,
-    ) -> BatchOutcome {
-        self.engine.object_tree().reset_node_reads();
-        self.engine.mid_ref().reset_node_reads();
-        let started = Stopwatch::start();
-        let results = rn_par::par_map_indexed(batch.len(), self.workers, |i| {
-            let session = self.engine.store_ref().session();
-            self.engine
-                .run_with_store_budget(&session, algo, &batch[i], None, budget)
-        });
-        let index_reads =
-            self.engine.object_tree().node_reads() + self.engine.mid_ref().node_reads();
-        // Merge order is the batch index, never worker arrival order:
-        // `par_map_indexed` returns results in input order, so the merged
-        // trace is deterministic at any worker count.
-        let mut trace = QueryTrace::new();
-        for r in &results {
-            trace.merge(&r.trace);
-        }
-        trace.add(Metric::IndexNodeReads, index_reads);
-        trace.event(Event::IndexReads { count: index_reads });
-        let io = io_from_trace(&trace);
-        BatchOutcome {
-            results,
-            index_reads,
-            wall: started.elapsed(),
-            trace,
-            io,
-        }
+    /// Panics when any query in the batch has no points.
+    pub fn run(&self, batch: &[Query<'_>]) -> BatchOutcome {
+        self.fan_out(batch, || self.engine.store_ref().session())
     }
 
     /// Runs the batch with every worker reading through **one shared
@@ -139,29 +97,31 @@ impl<'e> BatchEngine<'e> {
     /// per-query I/O stats, which are interleaving-dependent here.
     ///
     /// # Panics
-    /// Panics when any query set in the batch is empty.
-    pub fn run_shared(
+    /// Panics when any query in the batch has no points.
+    pub fn run_shared(&self, batch: &[Query<'_>], pool: PoolConfig) -> BatchOutcome {
+        let base = self.engine.store_ref().session_with_config(pool);
+        let mut out = self.fan_out(batch, || base.shared_session());
+        out.io = base.stats().snapshot();
+        out
+    }
+
+    /// Executes `batch` across the workers, each query against a store
+    /// from `store`, and merges the per-query traces **in batch-index
+    /// order**, never worker arrival order: `par_map` returns results in
+    /// input order, so the merged trace is deterministic at any worker
+    /// count. `io` is reassembled from that trace.
+    fn fan_out(
         &self,
-        algo: Algorithm,
-        batch: &[Vec<NetPosition>],
-        pool: PoolConfig,
+        batch: &[Query<'_>],
+        store: impl Fn() -> NetworkStore + Sync,
     ) -> BatchOutcome {
         self.engine.object_tree().reset_node_reads();
         self.engine.mid_ref().reset_node_reads();
-        let base = self.engine.store_ref().session_with_config(pool);
         let started = Stopwatch::start();
-        let results = rn_par::par_map_indexed(batch.len(), self.workers, |i| {
-            let session = base.shared_session();
-            self.engine.run_with_store_budget(
-                &session,
-                algo,
-                &batch[i],
-                None,
-                &QueryBudget::unlimited(),
-            )
+        let results = rn_par::par_map(batch, self.workers, |_, query| {
+            self.engine.execute(query, &store())
         });
         let wall = started.elapsed();
-        let io = base.stats().snapshot();
         let index_reads =
             self.engine.object_tree().node_reads() + self.engine.mid_ref().node_reads();
         let mut trace = QueryTrace::new();
@@ -170,6 +130,7 @@ impl<'e> BatchEngine<'e> {
         }
         trace.add(Metric::IndexNodeReads, index_reads);
         trace.event(Event::IndexReads { count: index_reads });
+        let io = io_from_trace(&trace);
         BatchOutcome {
             results,
             index_reads,

@@ -80,23 +80,14 @@ impl Obj {
     }
 }
 
-/// The coordinator-side state of a CE run: everything except the
+/// The classification state of a CE run: everything except the
 /// wavefront engines themselves.
 ///
-/// Extracting this from the sequential loop lets two drivers share one
-/// classification pipeline: the sequential round-robin driver below, and
-/// the lockstep parallel driver in [`crate::par`], whose wavefronts live
-/// in worker threads and report `(emission, bound)` pairs per round.
-///
 /// Every method that consults wavefront progress takes `bounds: &[f64]`,
-/// the per-dimension certified emission bounds, *as the driver knows
-/// them*. Any element-wise **under**-estimate of the live bounds is safe:
-/// bounds gate classification (a stale, smaller bound only delays a
-/// release) and serve as certified lower bounds in pruning (a smaller
-/// bound only weakens the prune). The parallel driver exploits exactly
-/// this, processing each round's emissions against the previous round's
-/// bounds.
-pub(crate) struct CeState {
+/// the per-dimension certified emission bounds. Bounds gate
+/// classification (an object is released once every bound strictly
+/// passes its vector) and serve as certified lower bounds in pruning.
+struct CeState {
     n: usize,
     /// Static attributes present: every emitted object must be classified
     /// and termination needs the group certificate.
@@ -117,7 +108,7 @@ pub(crate) struct CeState {
 }
 
 impl CeState {
-    pub(crate) fn new(input: &QueryInput<'_>) -> Self {
+    fn new(input: &QueryInput<'_>) -> Self {
         let n = input.arity();
         CeState {
             n,
@@ -139,17 +130,17 @@ impl CeState {
         }
     }
 
-    pub(crate) fn is_exhausted(&self, qi: usize) -> bool {
+    fn is_exhausted(&self, qi: usize) -> bool {
         self.exhausted[qi]
     }
 
-    pub(crate) fn all_exhausted(&self) -> bool {
+    fn all_exhausted(&self) -> bool {
         self.exhausted.iter().all(|&e| e)
     }
 
     /// Termination test: all candidates classified and (under attrs) the
     /// group certificate for the unemitted remainder holds.
-    pub(crate) fn should_stop(&self, input: &QueryInput<'_>, bounds: &[f64]) -> bool {
+    fn should_stop(&self, input: &QueryInput<'_>, bounds: &[f64]) -> bool {
         if self.phase1 || self.open != 0 {
             return false;
         }
@@ -168,18 +159,17 @@ impl CeState {
 
     /// Wavefront `qi` has no further emissions: everything waiting on this
     /// dimension is released.
-    pub(crate) fn on_exhausted(&mut self, qi: usize) {
+    fn on_exhausted(&mut self, qi: usize) {
         self.exhausted[qi] = true;
         while let Some(Reverse((_, obj))) = self.waiting[qi].pop() {
             release(&mut self.objs, obj, &mut self.ready);
         }
     }
 
-    /// Wavefront `qi` emitted object `id` at distance `d`. `bounds` must
-    /// be (element-wise under-estimates of) the certified emission bounds;
-    /// the sequential driver passes the live bounds with `bounds[qi]`
-    /// already refreshed, the parallel driver the previous round's.
-    pub(crate) fn on_emission(&mut self, qi: usize, id: ObjectId, d: f64, bounds: &[f64]) {
+    /// Wavefront `qi` emitted object `id` at distance `d`; `bounds` are
+    /// the live certified emission bounds with `bounds[qi]` already
+    /// refreshed.
+    fn on_emission(&mut self, qi: usize, id: ObjectId, d: f64, bounds: &[f64]) {
         let n = self.n;
         let track_all = self.track_all;
         let phase1 = self.phase1;
@@ -232,7 +222,7 @@ impl CeState {
 
     /// Advances dimension `qi`'s classification gate to `bounds[qi]`:
     /// waiting objects strictly below the bound are released.
-    pub(crate) fn advance_gates(&mut self, qi: usize, bounds: &[f64]) {
+    fn advance_gates(&mut self, qi: usize, bounds: &[f64]) {
         let r = bounds[qi];
         while let Some(&Reverse((d, obj))) = self.waiting[qi].peek() {
             if r > d.get() {
@@ -247,12 +237,7 @@ impl CeState {
     /// Classifies every ready object: within a batch, ascending
     /// distance-sum order guarantees dominators classify before what they
     /// dominate.
-    pub(crate) fn classify_ready(
-        &mut self,
-        input: &QueryInput<'_>,
-        reporter: &mut Reporter,
-        bounds: &[f64],
-    ) {
+    fn classify_ready(&mut self, input: &QueryInput<'_>, reporter: &mut Reporter, bounds: &[f64]) {
         if self.ready.is_empty() {
             return;
         }
@@ -324,7 +309,7 @@ impl CeState {
     /// Exact classification of whatever never completed (unreachable
     /// dimensions become infinite distances), then the invariant checks.
     /// Call after the final [`CeState::classify_ready`].
-    pub(crate) fn finish(&mut self, input: &QueryInput<'_>, reporter: &mut Reporter) {
+    fn finish(&mut self, input: &QueryInput<'_>, reporter: &mut Reporter) {
         let mut remaining: Vec<(ObjectId, Vec<f64>)> = self
             .objs
             .iter()
@@ -390,7 +375,7 @@ impl CeState {
 
     /// The frozen candidate-set size `|C|` (valid after
     /// [`CeState::finish`]).
-    pub(crate) fn candidates(&self) -> usize {
+    fn candidates(&self) -> usize {
         self.frozen_candidates
     }
 
@@ -398,7 +383,7 @@ impl CeState {
     /// phase 1, or every discovered object while still filtering.
     /// Partial results use this; complete runs report
     /// [`CeState::candidates`].
-    pub(crate) fn candidates_now(&self) -> usize {
+    fn candidates_now(&self) -> usize {
         if self.phase1 {
             self.objs.len()
         } else {
@@ -410,11 +395,7 @@ impl CeState {
     /// lower-bound vector (exact where visited, emission bound
     /// elsewhere; static attributes exact), sorted by object id — the
     /// unresolved remainder a budget-tripped run reports.
-    pub(crate) fn unresolved(
-        &self,
-        input: &QueryInput<'_>,
-        bounds: &[f64],
-    ) -> Vec<UnresolvedCandidate> {
+    fn unresolved(&self, input: &QueryInput<'_>, bounds: &[f64]) -> Vec<UnresolvedCandidate> {
         self.objs
             .iter()
             .filter(|(_, o)| matches!(o.state, State::Open | State::Waiting))
@@ -430,11 +411,11 @@ impl CeState {
     }
 
     /// `true` while the filter phase runs (the candidate set has not
-    /// frozen yet). Drivers use this to attribute each consumed emission
-    /// to the filter or the refinement phase; the emission that *ends*
-    /// phase 1 is consumed before `on_emission` flips the flag, so it
-    /// counts as filter work — in both drivers.
-    pub(crate) fn in_phase1(&self) -> bool {
+    /// frozen yet). The driver uses this to attribute each consumed
+    /// emission to the filter or the refinement phase; the emission that
+    /// *ends* phase 1 is consumed before `on_emission` flips the flag, so
+    /// it counts as filter work.
+    fn in_phase1(&self) -> bool {
         self.phase1
     }
 }

@@ -191,17 +191,6 @@ impl DistEngine {
         &self.shard_objects[s]
     }
 
-    /// [`DistEngine::run`] over the in-process backend with `workers`
-    /// worker threads.
-    pub fn run_local(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-    ) -> DistResult {
-        self.run(algo, queries, &InProcessBackend { workers })
-    }
-
     /// Runs one distributed skyline query: shard execution on
     /// `backend`, then the metered coordinator merge.
     ///

@@ -42,108 +42,18 @@ use rn_skyline::EuclideanSkylineIter;
 use rn_sp::{AStar, AStarStats, BoundKind, LbTarget};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How EDC obtains network distance vectors — the only part of the
-/// algorithm that touches the shortest-path substrate, and therefore the
-/// parallelisation seam.
-///
-/// The sequential backend ([`SeqBackend`]) walks one A\* engine per query
-/// point over the objects in order; the parallel backend
-/// ([`crate::par`]) fans the *dimensions* out across workers, each of
-/// which owns its engines and a private store session. Both must satisfy
-/// the same contract: vectors are returned **in `objs` order**, with
-/// static attributes already appended, and each engine processes the
-/// overall target sequence in the same order as the sequential run (so
-/// per-engine expansion counts — and hence page-fault counts per session —
-/// do not depend on the backend's worker count).
-pub(crate) trait VectorBackend {
-    /// Network distance vectors (plus static attributes) for each object,
-    /// in `objs` order.
-    fn vectors(&mut self, input: &QueryInput<'_>, objs: &[ObjectId]) -> Vec<Vec<f64>>;
-    /// Cumulative engine counters summed across all engines so far — the
-    /// coordinator harvests these into the trace once, at end of run.
-    fn stats(&mut self) -> AStarStats;
-}
-
-/// The in-thread backend: one A\* engine per query point, settled tables
-/// reused across targets (step 2/4 sharing).
-pub(crate) struct SeqBackend<'a> {
-    engines: Vec<AStar<'a>>,
-}
-
-impl<'a> SeqBackend<'a> {
-    pub(crate) fn new(input: &'a QueryInput<'a>) -> Self {
-        SeqBackend {
-            engines: input
-                .queries
-                .iter()
-                .map(|q| AStar::new(&input.ctx, q.pos))
-                .collect(),
-        }
-    }
-}
-
-impl VectorBackend for SeqBackend<'_> {
-    fn vectors(&mut self, input: &QueryInput<'_>, objs: &[ObjectId]) -> Vec<Vec<f64>> {
-        let positions: Vec<NetPosition> = objs.iter().map(|&o| input.ctx.mid.position(o)).collect();
-        let mut rows: Vec<Vec<f64>> = match input.sweep {
-            // One pack sweep per dimension engine: the whole batch of
-            // destinations rides a single wavefront expansion.
-            SweepMode::Batched => {
-                let mut rows: Vec<Vec<f64>> = objs
-                    .iter()
-                    .map(|_| Vec::with_capacity(input.full_arity()))
-                    .collect();
-                for e in &mut self.engines {
-                    for (row, d) in rows.iter_mut().zip(e.distances_to_pack(&positions)) {
-                        row.push(d);
-                    }
-                }
-                rows
-            }
-            SweepMode::SingleTarget => positions
-                .iter()
-                .map(|&pos| {
-                    self.engines
-                        .iter_mut()
-                        .map(|e| e.distance_to(pos))
-                        .collect()
-                })
-                .collect(),
-        };
-        for (row, &obj) in rows.iter_mut().zip(objs) {
-            input.extend_with_attrs(obj, row);
-        }
-        rows
-    }
-
-    fn stats(&mut self) -> AStarStats {
-        let mut total = AStarStats::default();
-        for e in &self.engines {
-            total.merge(&e.stats());
-        }
-        total
-    }
-}
-
-pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
-    let mut backend = SeqBackend::new(input);
-    run_mode_with(input, reporter, false, &mut backend)
-}
-
-/// The batch form of §4.2: steps 1-4 run to completion and step 5 reports
-/// everything at the end ("EDC ... is essentially a batch skyline query
-/// algorithm - no network skyline points can be reported until step 5").
-pub(crate) fn run_batch(input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
-    let mut backend = SeqBackend::new(input);
-    run_mode_with(input, reporter, true, &mut backend)
-}
-
-pub(crate) fn run_mode_with<B: VectorBackend>(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    batch: bool,
-    backend: &mut B,
-) -> AlgoOutput {
+/// Runs EDC. `batch` selects the batch form of §4.2: steps 1-4 run to
+/// completion and step 5 reports everything at the end ("EDC ... is
+/// essentially a batch skyline query algorithm - no network skyline
+/// points can be reported until step 5").
+pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter, batch: bool) -> AlgoOutput {
+    // One A* engine per query point; settled tables are reused across
+    // targets (step 2/4 sharing).
+    let mut engines: Vec<AStar<'_>> = input
+        .queries
+        .iter()
+        .map(|q| AStar::new(&input.ctx, q.pos))
+        .collect();
     let qpts: Vec<Point> = input.queries.iter().map(|q| q.point).collect();
     let guard = input.ctx.guard;
 
@@ -196,7 +106,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
         }
         // Step 2: shift the Euclidean skyline point into network space.
         reporter.obs().incr(Metric::EdcGuideShifts);
-        let shifted_row = backend.vectors(input, &[obj]).pop();
+        let shifted_row = vectors(input, &mut engines, &[obj]).pop();
         if guard.is_some_and(|g| g.tripped()) {
             aborted.push(obj);
             tripped = true;
@@ -228,7 +138,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
                 candidates: in_cube.len() as u64,
             });
         }
-        let cube_rows = backend.vectors(input, &in_cube);
+        let cube_rows = vectors(input, &mut engines, &in_cube);
         if guard.is_some_and(|g| g.tripped()) {
             aborted.extend(in_cube);
             tripped = true;
@@ -302,7 +212,7 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
             break;
         }
         reporter.obs().incr(Metric::EdcClosureRounds);
-        let rows = backend.vectors(input, &fresh);
+        let rows = vectors(input, &mut engines, &fresh);
         if guard.is_some_and(|g| g.tripped()) {
             aborted.extend(fresh);
             tripped = true;
@@ -363,11 +273,11 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
         None
     };
 
-    // Harvest the engines' own counters into the trace. Every dimension's
-    // engine sees the same target sequence under every backend (sequential
-    // or fanned-out — batches preserve object order), so these sums are
-    // identical at every worker count.
-    let stats = backend.stats();
+    // Harvest the engines' own counters into the trace.
+    let mut stats = AStarStats::default();
+    for e in &engines {
+        stats.merge(&e.stats());
+    }
     let obs = reporter.obs();
     obs.add(Metric::SpAstarConfirms, stats.confirms);
     obs.add(Metric::SpAstarRetargets, stats.retargets);
@@ -381,6 +291,36 @@ pub(crate) fn run_mode_with<B: VectorBackend>(
         nodes_expanded: stats.expansions,
         partial,
     }
+}
+
+/// Network distance vectors (plus static attributes) for each object, in
+/// `objs` order: one pack sweep per dimension engine in batched mode (the
+/// whole batch of destinations rides a single wavefront expansion), one
+/// resolution per destination otherwise.
+fn vectors(input: &QueryInput<'_>, engines: &mut [AStar<'_>], objs: &[ObjectId]) -> Vec<Vec<f64>> {
+    let positions: Vec<NetPosition> = objs.iter().map(|&o| input.ctx.mid.position(o)).collect();
+    let mut rows: Vec<Vec<f64>> = match input.sweep {
+        SweepMode::Batched => {
+            let mut rows: Vec<Vec<f64>> = objs
+                .iter()
+                .map(|_| Vec::with_capacity(input.full_arity()))
+                .collect();
+            for e in engines {
+                for (row, d) in rows.iter_mut().zip(e.distances_to_pack(&positions)) {
+                    row.push(d);
+                }
+            }
+            rows
+        }
+        SweepMode::SingleTarget => positions
+            .iter()
+            .map(|&pos| engines.iter_mut().map(|e| e.distance_to(pos)).collect())
+            .collect(),
+    };
+    for (row, &obj) in rows.iter_mut().zip(objs) {
+        input.extend_with_attrs(obj, row);
+    }
+    rows
 }
 
 /// Objects (not yet computed) whose Euclidean vector is component-wise

@@ -66,9 +66,55 @@ pub enum SweepMode {
     SingleTarget,
 }
 
+/// One multi-source skyline query: the algorithm, its query points and
+/// how to run it. [`SkylineEngine::execute`] is the single body that runs
+/// it; the other fields default through [`Query::new`] and are set with
+/// struct-update syntax:
+///
+/// ```
+/// # use msq_core::{Algorithm, Query, QueryBudget};
+/// # let points = [rn_graph::NetPosition::new(rn_graph::EdgeId(0), 1.0)];
+/// let q = Query {
+///     budget: QueryBudget::unlimited().with_max_expansions(500),
+///     ..Query::new(Algorithm::Lbc, &points)
+/// };
+/// # assert_eq!(q.algo, Algorithm::Lbc);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Query<'a> {
+    /// Which algorithm to run.
+    pub algo: Algorithm,
+    /// The query points (at least one).
+    pub points: &'a [NetPosition],
+    /// Static attribute dimensions appended to every distance vector
+    /// (§4.3's non-spatial extension); must cover every object.
+    pub attrs: Option<&'a crate::attrs::AttrTable>,
+    /// How EDC and LBC resolve batches of exact distances.
+    pub sweep: SweepMode,
+    /// Execution limits; unlimited by default.
+    pub budget: QueryBudget,
+    /// Which query point leads the search.
+    pub source: SourceStrategy,
+}
+
+impl<'a> Query<'a> {
+    /// `algo` over `points` with every option at its default: no static
+    /// attributes, batched sweeps, no budget, the first point as source.
+    pub fn new(algo: Algorithm, points: &'a [NetPosition]) -> Self {
+        Query {
+            algo,
+            points,
+            attrs: None,
+            sweep: SweepMode::default(),
+            budget: QueryBudget::unlimited(),
+            source: SourceStrategy::default(),
+        }
+    }
+}
+
 /// Borrowed view of one query execution: substrates plus resolved query
-/// points. Constructed by [`SkylineEngine::run`]; algorithm modules consume
-/// it.
+/// points. Constructed by [`SkylineEngine::execute`]; algorithm modules
+/// consume it.
 pub struct QueryInput<'a> {
     /// Network metadata + counted storage + middle layer.
     pub ctx: NetCtx<'a>,
@@ -412,159 +458,13 @@ impl SkylineEngine {
     }
 
     /// Runs `algo` for the query points at `queries` and returns the
-    /// skyline with per-query statistics.
+    /// skyline with per-query statistics: [`SkylineEngine::execute`] of
+    /// [`Query::new`] on the engine's own store.
     ///
     /// # Panics
     /// Panics when `queries` is empty.
     pub fn run(&self, algo: Algorithm, queries: &[NetPosition]) -> SkylineResult {
-        self.run_inner(
-            algo,
-            queries,
-            None,
-            SweepMode::default(),
-            &QueryBudget::unlimited(),
-        )
-    }
-
-    /// [`SkylineEngine::run`] under a [`QueryBudget`]: the run stops at
-    /// the first tripped limit and returns the certified-so-far skyline
-    /// with [`Completion::Partial`] carrying the unresolved candidates
-    /// (DESIGN.md §12).
-    ///
-    /// [`Algorithm::Brute`] is the testing oracle and is exempt: it
-    /// always runs to completion.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_budget(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        self.run_inner(algo, queries, None, SweepMode::default(), budget)
-    }
-
-    /// [`SkylineEngine::run`] with an explicit [`SweepMode`] — the ablation
-    /// hook the `sweep` benchmark uses to compare batched pack sweeps
-    /// against single-target resolution on identical workloads.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.run_inner(algo, queries, None, sweep, &QueryBudget::unlimited())
-    }
-
-    /// [`SkylineEngine::run_with_mode`] preceded by a buffer flush.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_cold_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.clear_buffer();
-        self.run_inner(algo, queries, None, sweep, &QueryBudget::unlimited())
-    }
-
-    /// Runs `algo` with additional static attribute dimensions (§4.3's
-    /// non-spatial extension): each object's vector becomes its network
-    /// distances followed by its attribute values, and dominance is
-    /// adjudicated over all of them.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty or `attrs` does not cover every
-    /// object.
-    pub fn run_with_attrs(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: &crate::attrs::AttrTable,
-    ) -> SkylineResult {
-        assert_eq!(
-            attrs.len(),
-            self.object_count(),
-            "attribute table must cover every object"
-        );
-        self.run_inner(
-            algo,
-            queries,
-            Some(attrs),
-            SweepMode::default(),
-            &QueryBudget::unlimited(),
-        )
-    }
-
-    fn run_inner(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-        sweep: SweepMode,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let guard = guard_for(algo, budget, self.store.stats().faults());
-        let input = QueryInput {
-            ctx: NetCtx::with_guard(&self.net, &self.store, &self.mid, guard.as_ref())
-                .with_bound(self.bound.as_ref()),
-            obj_tree: &self.obj_tree,
-            queries: queries
-                .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
-                .collect(),
-            attrs,
-            sweep,
-        };
-
-        let io_before = self.store.stats().snapshot();
-        self.obj_tree.reset_node_reads();
-        self.mid.reset_node_reads();
-
-        let started = Stopwatch::start();
-        let lb_before = self.bound.counters();
-        let mut reporter = Reporter::with_io(self.store.stats().clone());
-        reporter.obs().event(Event::QueryStart {
-            algo: algo.name(),
-            arity: input.arity() as u64,
-        });
-        let mut out = dispatch(algo, &input, &mut reporter);
-        let total_time = started.elapsed();
-        let io = self.store.stats().snapshot().since(&io_before);
-
-        let initial_time = reporter.time_to_first();
-        let initial_pages = reporter.pages_to_first();
-        let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        let index_reads = self.obj_tree.node_reads() + self.mid.node_reads();
-        finish_trace(&mut trace, &out, &io, index_reads, skyline.len());
-        harvest_bound(&mut trace, self.bound.as_ref(), &lb_before);
-        let completion = match out.partial.take() {
-            Some(p) => Completion::Partial(p),
-            None => Completion::Complete,
-        };
-        SkylineResult {
-            skyline,
-            stats: QueryStats {
-                candidates: out.candidates,
-                network_pages: io.faults,
-                network_logical: io.logical,
-                total_time,
-                initial_time,
-                initial_pages,
-                nodes_expanded: out.nodes_expanded,
-                index_reads,
-            },
-            trace,
-            completion,
-        }
+        self.execute(&Query::new(algo, queries), &self.store)
     }
 
     /// [`SkylineEngine::run`] preceded by a buffer flush — the cold-cache
@@ -574,76 +474,93 @@ impl SkylineEngine {
         self.run(algo, queries)
     }
 
-    /// Runs `algo` sequentially against a caller-supplied store — normally
-    /// a private session from [`rn_storage::NetworkStore::session`], which
-    /// is how [`crate::BatchEngine`] executes many queries concurrently
-    /// without sharing a buffer pool.
+    /// Executes one [`Query`] sequentially, reading the network through
+    /// `store`: normally [`SkylineEngine::store_ref`], or a private
+    /// session from [`rn_storage::NetworkStore::session`], which is how
+    /// [`crate::BatchEngine`] runs many queries concurrently without
+    /// sharing a buffer pool.
     ///
-    /// The shared index counters (object R-tree, middle layer) cannot be
-    /// attributed to one query while others run, so `stats.index_reads`
-    /// is reported as zero here; batch callers read the aggregate from
-    /// [`crate::BatchOutcome::index_reads`].
+    /// A tripped [`Query::budget`] stops the run at the first limit hit
+    /// and returns the certified-so-far skyline with
+    /// [`Completion::Partial`] (DESIGN.md §12); each call gets its own
+    /// guard, so batch budgets apply per query. [`Algorithm::Brute`] is
+    /// the testing oracle and always runs to completion.
     ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_store(
-        &self,
-        store: &NetworkStore,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-    ) -> SkylineResult {
-        self.run_with_store_budget(store, algo, queries, attrs, &QueryBudget::unlimited())
-    }
-
-    /// [`SkylineEngine::run_with_store`] under a [`QueryBudget`]. Each
-    /// call gets its own [`rn_obs::ExecGuard`], so a batch running many
-    /// queries against private sessions enforces the budget per query —
-    /// which keeps budget trips deterministic at every batch worker
-    /// count.
+    /// The shared index counters (object R-tree, middle layer) and the
+    /// lower bound's hit counters cannot be attributed to one query while
+    /// others run, so they are credited only when `store` *is* the
+    /// engine's own store; on any other store `stats.index_reads` and
+    /// those trace counters are zero, and batch callers read the
+    /// aggregate from [`crate::BatchOutcome::index_reads`].
     ///
     /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_with_store_budget(
-        &self,
-        store: &NetworkStore,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        attrs: Option<&crate::attrs::AttrTable>,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let guard = guard_for(algo, budget, store.stats().faults());
+    /// Panics when the query has no points, when `attrs` does not cover
+    /// every object, or when a [`SourceStrategy::Index`] is out of range.
+    pub fn execute(&self, query: &Query<'_>, store: &NetworkStore) -> SkylineResult {
+        assert!(!query.points.is_empty(), "need at least one query point");
+        if let Some(attrs) = query.attrs {
+            assert_eq!(
+                attrs.len(),
+                self.object_count(),
+                "attribute table must cover every object"
+            );
+        }
+        // The chosen source goes first; vectors are permuted back into
+        // the caller's dimension order at the end. `order[k]` is the
+        // caller's index served at slot k.
+        let mut order: Vec<usize> = (0..query.points.len()).collect();
+        order.swap(0, query.source.pick(self, query.points));
+        let own = std::ptr::eq(store, &self.store);
+        let guard = guard_for(query.algo, &query.budget, store.stats().faults());
         let input = QueryInput {
-            // The lower bound rides along (skylines are bound-invariant);
-            // its shared hit counters cannot be attributed to one query
-            // while others run, so — like `index_reads` — the per-query
-            // trace reports them as zero here.
             ctx: NetCtx::with_guard(&self.net, store, &self.mid, guard.as_ref())
                 .with_bound(self.bound.as_ref()),
             obj_tree: &self.obj_tree,
-            queries: queries
+            queries: order
                 .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
+                .map(|&i| QueryPoint::on_network(&self.net, query.points[i]))
                 .collect(),
-            attrs,
-            sweep: SweepMode::default(),
+            attrs: query.attrs,
+            sweep: query.sweep,
         };
+
         let io_before = store.stats().snapshot();
+        if own {
+            self.obj_tree.reset_node_reads();
+            self.mid.reset_node_reads();
+        }
         let started = Stopwatch::start();
+        let lb_before = self.bound.counters();
         let mut reporter = Reporter::with_io(store.stats().clone());
         reporter.obs().event(Event::QueryStart {
-            algo: algo.name(),
+            algo: query.algo.name(),
             arity: input.arity() as u64,
         });
-        let mut out = dispatch(algo, &input, &mut reporter);
+        let mut out = dispatch(query.algo, &input, &mut reporter);
         let total_time = started.elapsed();
         let io = store.stats().snapshot().since(&io_before);
+
         let initial_time = reporter.time_to_first();
         let initial_pages = reporter.pages_to_first();
         let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        finish_trace(&mut trace, &out, &io, 0, skyline.len());
+        let mut skyline = reporter.into_points();
+        let index_reads = if own {
+            self.obj_tree.node_reads() + self.mid.node_reads()
+        } else {
+            0
+        };
+        finish_trace(&mut trace, &out, &io, index_reads, skyline.len());
+        if own {
+            harvest_bound(&mut trace, self.bound.as_ref(), &lb_before);
+        }
+        if order[0] != 0 {
+            for p in &mut skyline {
+                unpermute(&order, &mut p.vector);
+            }
+            for u in out.partial.iter_mut().flat_map(|p| &mut p.unresolved) {
+                unpermute(&order, &mut u.lower_bounds);
+            }
+        }
         let completion = match out.partial.take() {
             Some(p) => Completion::Partial(p),
             None => Completion::Complete,
@@ -654,152 +571,6 @@ impl SkylineEngine {
                 candidates: out.candidates,
                 network_pages: io.faults,
                 network_logical: io.logical,
-                total_time,
-                initial_time,
-                initial_pages,
-                nodes_expanded: out.nodes_expanded,
-                index_reads: 0,
-            },
-            trace,
-            completion,
-        }
-    }
-
-    /// Runs one query with **intra-query parallelism** across `workers`
-    /// threads: CE's wavefronts advance concurrently in lockstep rounds,
-    /// EDC fans each network-vector computation across its dimensions, and
-    /// LBC fans the full-resolution confirmations (see DESIGN.md §9).
-    ///
-    /// Every worker reads network pages through a private cold session of
-    /// the engine's buffer capacity (the engine's own buffer is untouched,
-    /// like [`SkylineEngine::run_cold`]), and all fault counters feed one
-    /// query-wide [`rn_storage::IoStats`]. The skyline and the fault count
-    /// are identical at every worker count; they differ from the
-    /// sequential single-store run only in that each wavefront/dimension
-    /// pays its own cold faults.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-    ) -> SkylineResult {
-        self.run_parallel_with_mode(algo, queries, workers, SweepMode::default())
-    }
-
-    /// [`SkylineEngine::run_parallel`] under a [`QueryBudget`]. The
-    /// guard is checked **coordinator-side only** — at CE's round
-    /// barriers, EDC's merged vector batches and LBC's frontier loop —
-    /// against deterministically-merged totals, so cap-based trips (and
-    /// the resulting partial skyline and trace) are bitwise identical at
-    /// every worker count. Deadline and cancellation trips are sound but
-    /// inherently timing-dependent (DESIGN.md §12).
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel_with_budget(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        self.run_parallel_inner(algo, queries, workers, SweepMode::default(), budget)
-    }
-
-    /// [`SkylineEngine::run_parallel`] with an explicit [`SweepMode`] —
-    /// same ablation hook as [`SkylineEngine::run_with_mode`], applied to
-    /// the intra-query parallel drivers.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_parallel_with_mode(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        sweep: SweepMode,
-    ) -> SkylineResult {
-        self.run_parallel_inner(algo, queries, workers, sweep, &QueryBudget::unlimited())
-    }
-
-    fn run_parallel_inner(
-        &self,
-        algo: Algorithm,
-        queries: &[NetPosition],
-        workers: usize,
-        sweep: SweepMode,
-        budget: &QueryBudget,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        // The parallel drivers meter a fresh query-wide IoStats, so the
-        // guard's fault baseline is zero by construction.
-        let guard = guard_for(algo, budget, 0);
-        let input = QueryInput {
-            ctx: NetCtx::with_guard(&self.net, &self.store, &self.mid, guard.as_ref())
-                .with_bound(self.bound.as_ref()),
-            obj_tree: &self.obj_tree,
-            queries: queries
-                .iter()
-                .map(|pos| QueryPoint::on_network(&self.net, *pos))
-                .collect(),
-            attrs: None,
-            sweep,
-        };
-        let io = rn_storage::IoStats::new();
-        self.obj_tree.reset_node_reads();
-        self.mid.reset_node_reads();
-        let lb_before = self.bound.counters();
-        let started = Stopwatch::start();
-        let mut reporter = Reporter::with_io(io.clone());
-        reporter.obs().event(Event::QueryStart {
-            algo: algo.name(),
-            arity: input.arity() as u64,
-        });
-        let mut out = match algo {
-            Algorithm::Ce => crate::par::run_ce(&input, &mut reporter, workers, &io),
-            Algorithm::Edc => crate::par::run_edc(&input, &mut reporter, false, workers, &io),
-            Algorithm::EdcBatch => crate::par::run_edc(&input, &mut reporter, true, workers, &io),
-            Algorithm::Lbc => crate::lbc::run_parallel(&input, &mut reporter, true, workers, &io),
-            Algorithm::LbcNoPlb => {
-                crate::lbc::run_parallel(&input, &mut reporter, false, workers, &io)
-            }
-            Algorithm::Brute => {
-                // No parallel decomposition for the oracle: run it
-                // sequentially against one private session so the stats
-                // semantics match the other algorithms.
-                let session = self.store.session_with_stats(io.clone());
-                let brute_input = QueryInput {
-                    ctx: NetCtx::new(&self.net, &session, &self.mid),
-                    obj_tree: input.obj_tree,
-                    queries: input.queries.clone(),
-                    attrs: None,
-                    sweep: input.sweep,
-                };
-                crate::brute::run(&brute_input, &mut reporter)
-            }
-        };
-        let total_time = started.elapsed();
-        let io_totals = io.snapshot();
-        let initial_time = reporter.time_to_first();
-        let initial_pages = reporter.pages_to_first();
-        let mut trace = reporter.take_obs();
-        let skyline = reporter.into_points();
-        let index_reads = self.obj_tree.node_reads() + self.mid.node_reads();
-        finish_trace(&mut trace, &out, &io_totals, index_reads, skyline.len());
-        harvest_bound(&mut trace, self.bound.as_ref(), &lb_before);
-        let completion = match out.partial.take() {
-            Some(p) => Completion::Partial(p),
-            None => Completion::Complete,
-        };
-        SkylineResult {
-            skyline,
-            stats: QueryStats {
-                candidates: out.candidates,
-                network_pages: io_totals.faults,
-                network_logical: io_totals.logical,
                 total_time,
                 initial_time,
                 initial_pages,
@@ -824,50 +595,21 @@ impl SkylineEngine {
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.store.fault_plan()
     }
+}
 
-    /// Runs LBC with an explicit *source* query point selection (§4.3:
-    /// "LBC can use different strategies for selecting the source query
-    /// points to support the applications with user preferences" — skyline
-    /// points near the source are reported first).
-    ///
-    /// The skyline set is independent of the choice; only the report order
-    /// and the cost profile change. Result vectors stay in the order of
-    /// `queries` as passed.
-    ///
-    /// # Panics
-    /// Panics when `queries` is empty.
-    pub fn run_lbc_with_source(
-        &self,
-        queries: &[NetPosition],
-        strategy: SourceStrategy,
-    ) -> SkylineResult {
-        assert!(!queries.is_empty(), "need at least one query point");
-        let src = strategy.pick(self, queries);
-        // Rotate the chosen source to the front, run, then permute the
-        // vectors back into the caller's dimension order.
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.swap(0, src);
-        let permuted: Vec<NetPosition> = order.iter().map(|&i| queries[i]).collect();
-        let mut result = self.run(Algorithm::Lbc, &permuted);
-        for p in &mut result.skyline {
-            let mut v = p.vector.clone();
-            // order[k] = original index served at permuted slot k.
-            for (k, &orig) in order.iter().enumerate() {
-                v[orig] = p.vector[k];
-            }
-            // Static attribute dimensions (if any) ride behind the spatial
-            // ones and are unaffected by the permutation.
-            p.vector = v;
-        }
-        result
+/// Moves the spatial entries of a vector computed in source-first slot
+/// order back to the caller's dimension order; static attribute entries
+/// ride behind them and stay put.
+fn unpermute(order: &[usize], vector: &mut [f64]) {
+    let slots: Vec<f64> = vector[..order.len()].to_vec();
+    for (k, &orig) in order.iter().enumerate() {
+        vector[orig] = slots[k];
     }
 }
 
 /// Completes a query trace with the aggregates only known once the
 /// algorithm returned: heap pops, index reads, page-fault attribution and
-/// the final candidate/skyline sizes. Shared by every result-construction
-/// site so the exported counter set is identical across `run`,
-/// `run_with_store` and `run_parallel`.
+/// the final candidate/skyline sizes.
 fn finish_trace(
     trace: &mut QueryTrace,
     out: &AlgoOutput,
@@ -915,10 +657,7 @@ fn finish_trace(
 
 /// Harvests the lower-bound oracle's hit accounting into the trace as a
 /// delta over the pre-dispatch snapshot, plus the (deterministic) index
-/// footprint. The counters are commutative relaxed-atomic sums and every
-/// bound evaluation happens exactly once per (node, target) regardless
-/// of how the work is partitioned, so the delta is worker-count
-/// invariant. `oracle.build.ms` is deliberately absent: build wall time
+/// footprint. `oracle.build.ms` is deliberately absent: build wall time
 /// is registered for the bench reports but never enters a trace
 /// (DESIGN.md §14).
 fn harvest_bound(trace: &mut QueryTrace, bound: &dyn LowerBound, before: &LbCounters) {
@@ -951,19 +690,26 @@ fn guard_for(algo: Algorithm, budget: &QueryBudget, fault_base: u64) -> Option<E
 fn dispatch(algo: Algorithm, input: &QueryInput<'_>, reporter: &mut Reporter) -> AlgoOutput {
     match algo {
         Algorithm::Ce => crate::ce::run(input, reporter),
-        Algorithm::Edc => crate::edc::run(input, reporter),
-        Algorithm::EdcBatch => crate::edc::run_batch(input, reporter),
+        Algorithm::Edc => crate::edc::run(input, reporter, false),
+        Algorithm::EdcBatch => crate::edc::run(input, reporter, true),
         Algorithm::Lbc => crate::lbc::run(input, reporter, true),
         Algorithm::LbcNoPlb => crate::lbc::run(input, reporter, false),
         Algorithm::Brute => crate::brute::run(input, reporter),
     }
 }
 
-/// How [`SkylineEngine::run_lbc_with_source`] picks LBC's source query
-/// point.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Which query point a [`Query`] treats as the *source* (§4.3: "LBC can
+/// use different strategies for selecting the source query points to
+/// support the applications with user preferences" — skyline points near
+/// the source are reported first).
+///
+/// The skyline set is independent of the choice; only the report order
+/// and the cost profile change. Result vectors stay in the order of
+/// [`Query::points`] as passed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SourceStrategy {
     /// The first query point (LBC's default).
+    #[default]
     First,
     /// The query point with the smallest total Euclidean distance to the
     /// others — the most "central" one, which tends to shrink the NN
@@ -1063,7 +809,11 @@ mod tests {
             SourceStrategy::Centroid,
             SourceStrategy::Index(2),
         ] {
-            let r = e.run_lbc_with_source(&qs, strategy);
+            let q = Query {
+                source: strategy,
+                ..Query::new(Algorithm::Lbc, &qs)
+            };
+            let r = e.execute(&q, e.store_ref());
             assert_eq!(r.ids(), base.ids(), "{strategy:?}");
             for p in &r.skyline {
                 let want = base.vector_of(p.object).expect("same skyline");
@@ -1075,11 +825,50 @@ mod tests {
     }
 
     #[test]
+    fn source_strategy_reports_unresolved_bounds_in_caller_order() {
+        use rn_workload::{generate_network, generate_objects, generate_queries, NetGenConfig};
+        let net = generate_network(&NetGenConfig {
+            cols: 14,
+            rows: 14,
+            edges: 300,
+            jitter: 0.3,
+            detour_prob: 0.3,
+            detour_stretch: (1.1, 1.4),
+            seed: 5,
+        });
+        let objects = generate_objects(&net, 0.5, 6);
+        let qs = generate_queries(&net, 3, 0.8, 7);
+        let e = SkylineEngine::build(net, objects);
+        let exact = e.run(Algorithm::Brute, &qs);
+        let q = Query {
+            budget: QueryBudget::unlimited().with_max_expansions(40),
+            source: SourceStrategy::Index(2),
+            ..Query::new(Algorithm::Lbc, &qs)
+        };
+        let r = e.execute(&q, e.store_ref());
+        let info = r.completion.partial().expect("40 expansions must trip");
+        let mut checked = 0;
+        for u in &info.unresolved {
+            if let Some(want) = exact.vector_of(u.object) {
+                for (lb, d) in u.lower_bounds.iter().zip(want) {
+                    assert!(*lb <= d + rn_geom::EPSILON, "{:?}: {lb} > {d}", u.object);
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no unresolved skyline member to check");
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn source_index_out_of_range_panics() {
         let e = tiny_engine();
         let qs = vec![NetPosition::new(EdgeId(1), 30.0)];
-        e.run_lbc_with_source(&qs, SourceStrategy::Index(5));
+        let q = Query {
+            source: SourceStrategy::Index(5),
+            ..Query::new(Algorithm::Lbc, &qs)
+        };
+        e.execute(&q, e.store_ref());
     }
 
     #[test]

@@ -80,8 +80,6 @@ enum SessionEnd {
 /// Records one adjudication session in the query trace: the session
 /// counter always, the plb-outcome counter for discards/postponements,
 /// and (under the `trace` feature) a typed [`Event::SessionEnd`].
-/// Recording happens on the coordinator, after the session returns, so
-/// the trace is identical at every worker count (DESIGN.md §10).
 fn record_session(reporter: &mut Reporter, obj: ObjectId, end: &SessionEnd) {
     let obs = reporter.obs();
     obs.incr(Metric::LbcSessions);
@@ -126,57 +124,11 @@ fn note_oracle_discard(
 }
 
 pub(crate) fn run(input: &QueryInput<'_>, reporter: &mut Reporter, use_plb: bool) -> AlgoOutput {
-    let engines: Vec<AStar<'_>> = input
+    let mut engines: Vec<AStar<'_>> = input
         .queries
         .iter()
         .map(|q| AStar::new(&input.ctx, q.pos))
         .collect();
-    run_mode(input, reporter, use_plb, engines, None, None)
-}
-
-/// The parallel entry: per-dimension A\* engines own **private store
-/// sessions** (all sharing `io`, so the query's fault count is the sum of
-/// per-dimension faults — a quantity independent of worker count), and the
-/// full-resolution fan-out at each network NN runs the engines across
-/// `workers` threads via [`resolve_parallel`].
-pub(crate) fn run_parallel(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    use_plb: bool,
-    workers: usize,
-    io: &rn_storage::IoStats,
-) -> AlgoOutput {
-    let sessions: Vec<rn_storage::NetworkStore> = input
-        .queries
-        .iter()
-        .map(|_| input.ctx.store.session_with_stats(io.clone()))
-        .collect();
-    let ctxs: Vec<rn_sp::NetCtx<'_>> = sessions
-        .iter()
-        .map(|s| rn_sp::NetCtx::new(input.ctx.net, s, input.ctx.mid).with_bound(input.ctx.lb))
-        .collect();
-    let engines: Vec<AStar<'_>> = input
-        .queries
-        .iter()
-        .zip(&ctxs)
-        .map(|(q, c)| AStar::new(c, q.pos))
-        .collect();
-    run_mode(input, reporter, use_plb, engines, Some(workers), Some(io))
-}
-
-/// The LBC loop over caller-supplied engines. `par: Some(w)` fans the
-/// full-resolution sessions (the expensive step) across `w` workers;
-/// everything else — the stream, the frontier, bounded sessions — is
-/// identical to the sequential path, so both modes visit candidates in the
-/// same order and report the same skyline.
-fn run_mode(
-    input: &QueryInput<'_>,
-    reporter: &mut Reporter,
-    use_plb: bool,
-    mut engines: Vec<AStar<'_>>,
-    par: Option<usize>,
-    io: Option<&rn_storage::IoStats>,
-) -> AlgoOutput {
     let qpts: Vec<Point> = input.queries.iter().map(|q| q.point).collect();
     let n = qpts.len();
     let source = input.queries[0];
@@ -252,18 +204,9 @@ fn run_mode(
 
     loop {
         // ---- Budget check (DESIGN.md §12) ----
-        // Sequential engines tick the guard per heap pop themselves; the
-        // parallel mode keeps its engines guard-free and enforces the
-        // budget here, against deterministically merged totals, so cap
-        // trips land at the same frontier step at every worker count.
-        if let Some(g) = guard {
-            if par.is_some() {
-                let total: u64 = engines.iter().map(|e| e.stats().expansions).sum();
-                g.observe(total, io.map_or(0, |s| s.faults()));
-            }
-            if g.tripped() {
-                break;
-            }
+        // The engines tick the guard per heap pop themselves.
+        if guard.is_some_and(|g| g.tripped()) {
+            break;
         }
 
         // ---- Drain the stream while it could still beat the frontier ----
@@ -409,26 +352,13 @@ fn run_mode(
             // members one at a time (cheapest dimension first, discarding
             // early when sequential).
             let ends: Vec<SessionEnd> = match input.sweep {
-                SweepMode::Batched => resolve_batch(
-                    &mut slab,
-                    &batch,
-                    &mut engines,
-                    &skyline,
-                    par,
-                    use_plb,
-                    guard,
-                ),
+                SweepMode::Batched => {
+                    resolve_batch(&mut slab, &batch, &mut engines, &skyline, use_plb, guard)
+                }
                 SweepMode::SingleTarget => batch
                     .iter()
-                    .map(|&i| match par {
-                        // Any parallel-mode run takes the shared-wavefront
-                        // resolution path — including w == 1 — so the
-                        // recorded trace is worker-count-invariant
-                        // (DESIGN.md §10).
-                        Some(w) => {
-                            resolve_parallel(&mut slab[i], &mut engines, &skyline, w, use_plb)
-                        }
-                        None => session(
+                    .map(|&i| {
+                        session(
                             &mut slab[i],
                             &mut engines,
                             &skyline,
@@ -436,7 +366,7 @@ fn run_mode(
                             true,
                             use_plb,
                             guard,
-                        ),
+                        )
                     })
                     .collect(),
             };
@@ -512,9 +442,7 @@ fn run_mode(
         }
     }
 
-    // Harvest the per-engine A* counters into the query trace. Each
-    // engine's work is a pure function of the candidate sequence, so
-    // these sums are identical at every worker count.
+    // Harvest the per-engine A* counters into the query trace.
     let mut stats = AStarStats::default();
     for e in &engines {
         stats.merge(&e.stats());
@@ -671,80 +599,24 @@ fn session(
     }
 }
 
-/// The parallel form of a full-resolution session: every still-inexact
-/// network dimension is resolved by its own engine, fanned across
-/// `workers` threads ([`rn_par::par_map_mut`] — static shard, index-ordered
-/// merge, no locks).
-///
-/// Deviation from the sequential session, chosen for determinism: there is
-/// no *mid*-confirmation plb-discard — each engine runs its dimension to
-/// resolution, and dominance is checked once before the fan-out and once by
-/// the caller on the exact vector. This is conservative-consistent: a
-/// candidate the sequential session discards on partial bounds is also
-/// discarded here (the skyline vector that dominated the partial bounds
-/// dominates the element-wise-larger exact vector a fortiori), so the
-/// classification — and the reported skyline — is identical; only the
-/// expansion effort differs. The work done is a pure function of the
-/// candidate, so the result is byte-identical at every worker count.
-fn resolve_parallel(
-    cand: &mut Cand,
-    engines: &mut [AStar<'_>],
-    skyline: &[(ObjectId, Vec<f64>)],
-    workers: usize,
-    use_plb: bool,
-) -> SessionEnd {
-    if use_plb && skyline.iter().any(|(_, s)| dominates(s, &cand.lb)) {
-        return SessionEnd::Discarded;
-    }
-    cand.expanded = true;
-    let pos = cand.pos;
-    let exact = &cand.exact;
-    let results = rn_par::par_map_mut(engines, workers, |j, engine| {
-        if exact[j] {
-            None
-        } else {
-            if engine.target() != Some(pos) {
-                engine.set_target(pos);
-            }
-            Some(engine.run())
-        }
-    });
-    for (j, r) in results.into_iter().enumerate() {
-        if let Some(exact_d) = r {
-            // Same admissibility contract as the sequential session.
-            #[cfg(feature = "invariant-checks")]
-            assert!(
-                cand.lb[j] <= exact_d + rn_geom::EPSILON,
-                "LBC lower-bound admissibility violated: bound {} > d_N {exact_d} in dim {j}",
-                cand.lb[j]
-            );
-            cand.lb[j] = exact_d;
-            cand.exact[j] = true;
-        }
-    }
-    debug_assert!(cand.fully_exact());
-    SessionEnd::SourceExact
-}
-
 /// The batched form of full resolution (DESIGN.md §11): the whole
 /// tie-batch rides **one pack sweep per dimension**
 /// ([`rn_sp::AStar::distances_to_pack`]) instead of one `set_target` +
 /// `run` per member per dimension.
 ///
-/// Classification follows [`resolve_parallel`]'s conservative-consistent
-/// contract — dominance is checked once on the entry bounds and once by
-/// the caller on the exact vectors, never mid-resolution — so the reported
-/// skyline is identical to the single-target paths. With `par: Some(w)`
-/// the per-dimension sweeps fan across `w` workers
-/// ([`rn_par::par_map_mut`]); each dimension's engine sees the same
-/// destination list either way, so the result and the engine counters are
-/// identical at every worker count.
+/// Deviation from the single-target session, chosen so one sweep can
+/// serve the whole batch: there is no *mid*-confirmation plb-discard —
+/// dominance is checked once on the entry bounds and once by the caller on
+/// the exact vectors. This is conservative-consistent: a candidate the
+/// session discards on partial bounds is also discarded here (the skyline
+/// vector that dominated the partial bounds dominates the element-wise
+/// larger exact vector a fortiori), so the classification — and the
+/// reported skyline — is identical; only the expansion effort differs.
 fn resolve_batch(
     slab: &mut [Cand],
     batch: &[usize],
     engines: &mut [AStar<'_>],
     skyline: &[(ObjectId, Vec<f64>)],
-    par: Option<usize>,
     use_plb: bool,
     guard: Option<&ExecGuard>,
 ) -> Vec<SessionEnd> {
@@ -776,21 +648,15 @@ fn resolve_batch(
         }
     }
 
-    // One pack sweep per dimension, fanned across workers in par mode.
-    let results: Vec<Vec<f64>> = match par {
-        Some(w) => rn_par::par_map_mut(engines, w, |j, engine| {
-            let positions: Vec<NetPosition> = wants[j].iter().map(|&(_, p)| p).collect();
+    // One pack sweep per dimension.
+    let results: Vec<Vec<f64>> = engines
+        .iter_mut()
+        .zip(&wants)
+        .map(|(engine, want)| {
+            let positions: Vec<NetPosition> = want.iter().map(|&(_, p)| p).collect();
             engine.distances_to_pack(&positions)
-        }),
-        None => engines
-            .iter_mut()
-            .enumerate()
-            .map(|(j, engine)| {
-                let positions: Vec<NetPosition> = wants[j].iter().map(|&(_, p)| p).collect();
-                engine.distances_to_pack(&positions)
-            })
-            .collect(),
-    };
+        })
+        .collect();
     if guard.is_some_and(|g| g.tripped()) {
         // A sweep was cut short, so the returned values are upper
         // bounds; which sweeps completed before the trip is not

@@ -70,7 +70,6 @@ pub mod edc;
 pub mod engine;
 pub mod lbc;
 pub mod nnq;
-pub(crate) mod par;
 pub mod stats;
 
 pub use attrs::AttrTable;
@@ -81,8 +80,8 @@ pub use dist::{
 };
 pub use dynamic::{DynamicConfig, DynamicEngine, MaintenanceOutcome, OracleMaintenance, QueryId};
 pub use engine::{
-    Algorithm, Completion, PartialInfo, QueryInput, SkylineEngine, SkylineResult, SourceStrategy,
-    SweepMode, UnresolvedCandidate,
+    Algorithm, Completion, PartialInfo, Query, QueryInput, SkylineEngine, SkylineResult,
+    SourceStrategy, SweepMode, UnresolvedCandidate,
 };
 pub use nnq::Aggregate;
 pub use rn_sp::{BoundKind, BoundSpec, LowerBound, OracleBuildStats};

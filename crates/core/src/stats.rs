@@ -92,8 +92,7 @@ impl Reporter {
 
     /// The query's observability recorder. Algorithm drivers bump
     /// [`rn_obs::Metric`] counters and emit [`rn_obs::Event`]s through
-    /// this; they must only do so from the coordinator side so the trace
-    /// stays worker-count-invariant (DESIGN.md §10).
+    /// this (DESIGN.md §10).
     pub fn obs(&mut self) -> &mut QueryTrace {
         &mut self.trace
     }

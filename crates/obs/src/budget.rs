@@ -10,11 +10,8 @@
 //! * [`QueryBudget`] — declarative limits (wall-clock deadline, node
 //!   expansion cap, page-fault cap) plus an optional [`CancelToken`].
 //! * [`ExecGuard`] — one per query run, created at query start. The
-//!   shortest-path engines check it at heap-pop granularity (sequential
-//!   paths); the parallel coordinators check it at round barriers with
-//!   deterministically merged totals ([`ExecGuard::observe`]), never
-//!   inside worker threads, so tripping is worker-count independent for
-//!   the cap-based limits.
+//!   shortest-path engines check it at heap-pop granularity, so a
+//!   cap-based trip lands on the same heap pop on every run of a query.
 //! * [`IncompleteReason`] — why a run stopped early; carried in the
 //!   trace ([`crate::Event::Incomplete`]) and in the engine's partial
 //!   result.
@@ -154,8 +151,7 @@ impl IncompleteReason {
 /// The guard latches: the first limit to trip records its reason, and
 /// every later check reports tripped without re-evaluating. All state
 /// is atomic so a single guard can be shared by reference across the
-/// engines of one query (the parallel coordinators still only check it
-/// from the coordinator thread — see the module docs).
+/// engines of one query.
 #[derive(Debug)]
 pub struct ExecGuard {
     deadline: Option<Instant>,
@@ -211,11 +207,9 @@ impl ExecGuard {
         self.check_common(faults_now)
     }
 
-    /// Round-barrier check for parallel coordinators: compares
-    /// deterministically merged absolute totals against the caps
-    /// without touching the guard's own expansion counter (workers run
-    /// guard-free; the coordinator owns enforcement). Returns `false`
-    /// when the budget is exhausted.
+    /// Barrier check against externally merged absolute totals: compares
+    /// them against the caps without touching the guard's own expansion
+    /// counter. Returns `false` when the budget is exhausted.
     pub fn observe(&self, expansions_total: u64, faults_now: u64) -> bool {
         if self.tripped.load(Ordering::Relaxed) {
             return false;

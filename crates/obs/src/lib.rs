@@ -18,12 +18,12 @@
 //!   for golden snapshots) and [`QueryTrace::to_json`] (counters +
 //!   events + drop count, used for bitwise determinism assertions).
 //!
-//! Determinism contract: all recording happens on the coordinator side
-//! of the query drivers (or is harvested from engine-owned plain
-//! counters after the parallel join), so a query's trace is bitwise
-//! identical at every worker count. `msq_core::BatchEngine` merges
-//! per-query traces in batch-index order, which keeps the merged trace
-//! reproducible too. See DESIGN.md §10.
+//! Determinism contract: a query's trace is recorded by its own driver
+//! thread (or harvested from engine-owned plain counters at end of
+//! run), so it is a pure function of the query.
+//! `msq_core::BatchEngine` merges per-query traces in batch-index
+//! order, which keeps the merged trace bitwise identical at every worker
+//! count. See DESIGN.md §10.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

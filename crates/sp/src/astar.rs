@@ -142,9 +142,9 @@ fn pack_argmin(
 }
 
 /// A snapshot of one engine's cumulative counters, harvested by the query
-/// coordinators into the observability trace (and shipped across worker
-/// channels by the parallel backends). Plain cumulative values: subtract
-/// two snapshots for a delta, sum across engines for a query total.
+/// drivers into the observability trace. Plain cumulative values:
+/// subtract two snapshots for a delta, sum across engines for a query
+/// total.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AStarStats {
     /// Nodes settled ([`AStar::expansions`]).
@@ -167,7 +167,7 @@ pub struct AStarStats {
 
 impl AStarStats {
     /// Accumulates another snapshot into this one (field-wise sum) — how
-    /// coordinators total the counters of a whole engine fleet.
+    /// a driver totals the counters of its per-dimension engines.
     pub fn merge(&mut self, other: &AStarStats) {
         self.expansions += other.expansions;
         self.confirms += other.confirms;
@@ -337,9 +337,8 @@ impl<'a> AStar<'a> {
         self.rekey_entries
     }
 
-    /// All engine counters in one bundle — what the query coordinators
-    /// harvest into the observability trace at end of run (and what the
-    /// parallel backends ship back in worker replies).
+    /// All engine counters in one bundle — what the query drivers
+    /// harvest into the observability trace at end of run.
     pub fn stats(&self) -> AStarStats {
         AStarStats {
             expansions: self.expansions,

@@ -30,9 +30,7 @@ pub struct NetCtx<'a> {
     /// Edge-id-keyed object directory.
     pub mid: &'a MiddleLayer,
     /// Budget enforcement for the query driving this context, if any.
-    /// Sequential engines check it at heap-pop granularity; parallel
-    /// worker contexts carry `None` so tripping stays coordinator-side
-    /// and worker-count independent (DESIGN.md §12).
+    /// Engines check it at heap-pop granularity (DESIGN.md §12).
     pub guard: Option<&'a ExecGuard>,
     /// The network-distance lower bound feeding the A\* heuristic and the
     /// pruning rules. Defaults to the Euclidean bound ([`EUCLID`]), which

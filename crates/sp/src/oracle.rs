@@ -33,8 +33,7 @@
 //! paper's Theorem 1 optimality class excludes (see DESIGN.md §14).
 //!
 //! Hit accounting uses relaxed atomics: the counters are commutative
-//! sums harvested coordinator-side after the join, so totals are
-//! worker-count invariant even though workers share one oracle.
+//! sums, so totals stay exact even when batch workers share one oracle.
 
 use crate::ctx::NetCtx;
 use crate::dijkstra::Dijkstra;

@@ -191,7 +191,7 @@ fn suppression_comment_silences_each_rule() {
             "use std::collections::HashMap; // lint: allow(hash-order)\n",
         ),
         (
-            "crates/core/src/par.rs",
+            "crates/core/src/batch.rs",
             "use std::sync::Mutex; // lint: allow(hot-lock)\n",
         ),
     ];

@@ -7,7 +7,7 @@
 //! cargo run --release --example priced_hotels
 //! ```
 
-use msq_core::{Algorithm, AttrTable, SkylineEngine};
+use msq_core::{Algorithm, AttrTable, Query, SkylineEngine};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rn_workload::{ca_like, generate_objects, generate_queries};
@@ -39,7 +39,11 @@ fn main() {
     );
 
     // Now with price as a fourth dimension.
-    let priced = engine.run_with_attrs(Algorithm::Lbc, &landmarks, &attrs);
+    let query = Query {
+        attrs: Some(&attrs),
+        ..Query::new(Algorithm::Lbc, &landmarks)
+    };
+    let priced = engine.execute(&query, engine.store_ref());
     println!(
         "skyline on distances + price: {} hotels\n",
         priced.skyline.len()

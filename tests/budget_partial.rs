@@ -7,20 +7,19 @@
 //!   (per [`Algorithm::Brute`]) with a bitwise-identical vector, and
 //!   every unresolved candidate's reported lower bounds really are lower
 //!   bounds on its true distance vector.
-//! * **Determinism** — cap-based trips (expansion / page-fault caps) are
-//!   checked against deterministically-merged totals only, so the partial
-//!   skyline, the unresolved list and the whole trace are bitwise
-//!   identical at 1, 2 and 8 workers. (Deadlines and cancellation are
-//!   sound but timing-dependent, so the determinism properties here use
-//!   caps exclusively.)
+//! * **Determinism** — a batch applies the budget per query, each against
+//!   its own private session, so the partial skylines, the unresolved
+//!   lists and the merged trace are bitwise identical at 1, 2 and 8 batch
+//!   workers. (Deadlines and cancellation are sound but timing-dependent,
+//!   so the determinism properties here use caps exclusively.)
 //! * **Transparency** — an unlimited budget is indistinguishable from no
 //!   budget at all, bitwise.
 
 mod common;
 
-use common::{build, canon, params, workload};
+use common::{build, canon, params, queries_of, run_with_budget, workload};
 use msq_core::{
-    Algorithm, BatchEngine, CancelToken, Completion, IncompleteReason, Metric, QueryBudget,
+    Algorithm, BatchEngine, CancelToken, Completion, IncompleteReason, Metric, Query, QueryBudget,
     SkylineEngine, SkylineResult,
 };
 use proptest::prelude::*;
@@ -96,7 +95,7 @@ fn unlimited_budget_is_bitwise_transparent() {
         // cold/warm fault attribution.
         engine.run(algo, &queries);
         let plain = engine.run(algo, &queries);
-        let budgeted = engine.run_with_budget(algo, &queries, &QueryBudget::unlimited());
+        let budgeted = run_with_budget(&engine, algo, &queries, &QueryBudget::unlimited());
         assert!(budgeted.completion.is_complete());
         assert_eq!(canon(&plain), canon(&budgeted), "{}", algo.name());
         assert_eq!(
@@ -113,7 +112,7 @@ fn unlimited_budget_is_bitwise_transparent() {
 fn brute_oracle_is_exempt_from_budgets() {
     let (engine, queries) = fixture();
     let budget = QueryBudget::unlimited().with_max_expansions(1);
-    let r = engine.run_with_budget(Algorithm::Brute, &queries, &budget);
+    let r = run_with_budget(&engine, Algorithm::Brute, &queries, &budget);
     assert!(r.completion.is_complete());
     assert_eq!(canon(&r), canon(&engine.run(Algorithm::Brute, &queries)));
 }
@@ -124,7 +123,7 @@ fn tripped_runs_report_reason_and_trace_metrics() {
     let brute = engine.run(Algorithm::Brute, &queries);
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_max_expansions(1);
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_with_budget(&engine, algo, &queries, &budget);
         let info = r
             .completion
             .partial()
@@ -154,7 +153,7 @@ fn pre_cancelled_token_yields_sound_partial() {
     token.cancel();
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_cancel(token.clone());
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_with_budget(&engine, algo, &queries, &budget);
         let info = r
             .completion
             .partial()
@@ -170,54 +169,13 @@ fn expired_deadline_yields_sound_partial() {
     let brute = engine.run(Algorithm::Brute, &queries);
     for algo in GOVERNED {
         let budget = QueryBudget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = engine.run_with_budget(algo, &queries, &budget);
+        let r = run_with_budget(&engine, algo, &queries, &budget);
         let info = r
             .completion
             .partial()
             .unwrap_or_else(|| panic!("{}: expired deadline must trip", algo.name()));
         assert_eq!(info.reason, IncompleteReason::Deadline, "{}", algo.name());
         assert_sound_prefix(&r, &brute, algo.name());
-    }
-}
-
-/// Cap-based trips are worker-count invariant: the partial skyline, the
-/// unresolved candidates, the reason and the full trace are bitwise
-/// identical at 1, 2 and 8 workers (DESIGN.md §12).
-#[test]
-fn capped_parallel_runs_are_worker_count_invariant() {
-    let (engine, queries) = fixture();
-    let brute = engine.run(Algorithm::Brute, &queries);
-    for algo in GOVERNED {
-        // Trip roughly mid-run: half the full parallel expansion count.
-        let full = engine.run_parallel(algo, &queries, 2);
-        let cap = (full.stats.nodes_expanded / 2).max(1);
-        let budget = QueryBudget::unlimited().with_max_expansions(cap);
-        let base = engine.run_parallel_with_budget(algo, &queries, 1, &budget);
-        assert_sound_prefix(&base, &brute, algo.name());
-        for workers in [2usize, 8] {
-            let r = engine.run_parallel_with_budget(algo, &queries, workers, &budget);
-            assert_eq!(
-                canon(&r),
-                canon(&base),
-                "{} capped skyline diverged at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.completion,
-                base.completion,
-                "{} completion diverged at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.trace.to_json(),
-                base.trace.to_json(),
-                "{} capped trace diverged at {} workers",
-                algo.name(),
-                workers
-            );
-        }
     }
 }
 
@@ -231,7 +189,7 @@ fn batch_budget_is_per_query_and_worker_count_invariant() {
         .map(|i| generate_queries(engine.network(), 3, 0.5, 1000 + i))
         .collect();
     for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-        let full = BatchEngine::new(&engine, 1).run(algo, &batch);
+        let full = BatchEngine::new(&engine, 1).run(&queries_of(algo, &batch));
         // A cap below the largest query's cost: some queries trip, the
         // cheap ones may still complete — per query, not per batch.
         let max_cost = full
@@ -241,14 +199,21 @@ fn batch_budget_is_per_query_and_worker_count_invariant() {
             .max()
             .unwrap();
         let budget = QueryBudget::unlimited().with_max_expansions((max_cost / 2).max(1));
-        let base = BatchEngine::new(&engine, 1).run_with_budget(algo, &batch, &budget);
+        let capped: Vec<Query<'_>> = queries_of(algo, &batch)
+            .into_iter()
+            .map(|q| Query {
+                budget: budget.clone(),
+                ..q
+            })
+            .collect();
+        let base = BatchEngine::new(&engine, 1).run(&capped);
         assert!(
             base.results.iter().any(|r| !r.completion.is_complete()),
             "{}: cap below max query cost must trip at least one query",
             algo.name()
         );
         for workers in [2usize, 8] {
-            let out = BatchEngine::new(&engine, workers).run_with_budget(algo, &batch, &budget);
+            let out = BatchEngine::new(&engine, workers).run(&capped);
             for (q, (a, b)) in out.results.iter().zip(&base.results).enumerate() {
                 assert_eq!(
                     canon(a),
@@ -294,7 +259,7 @@ proptest! {
             let full = engine.run(algo, &queries);
             let cap = (full.stats.nodes_expanded / denom).max(1);
             let budget = QueryBudget::unlimited().with_max_expansions(cap);
-            let r = engine.run_with_budget(algo, &queries, &budget);
+            let r = run_with_budget(&engine, algo, &queries, &budget);
             assert_sound_prefix(&r, &brute, algo.name());
         }
     }

@@ -6,7 +6,7 @@
 
 #![allow(dead_code)]
 
-use msq_core::{Algorithm, SkylineEngine, SkylineResult};
+use msq_core::{Algorithm, AttrTable, Query, QueryBudget, SkylineEngine, SkylineResult};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::{ca_like, generate_network, generate_objects, generate_queries, NetGenConfig};
@@ -148,4 +148,37 @@ pub fn canon(r: &SkylineResult) -> Vec<(u32, Vec<u64>)> {
         .collect();
     v.sort();
     v
+}
+
+/// `algo` with static attribute dimensions, on the engine's own store.
+pub fn run_with_attrs(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    attrs: &AttrTable,
+) -> SkylineResult {
+    let q = Query {
+        attrs: Some(attrs),
+        ..Query::new(algo, queries)
+    };
+    engine.execute(&q, engine.store_ref())
+}
+
+/// `algo` under `budget`, on the engine's own store.
+pub fn run_with_budget(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    budget: &QueryBudget,
+) -> SkylineResult {
+    let q = Query {
+        budget: budget.clone(),
+        ..Query::new(algo, queries)
+    };
+    engine.execute(&q, engine.store_ref())
+}
+
+/// One `algo` query per point set, for [`msq_core::BatchEngine`].
+pub fn queries_of(algo: Algorithm, sets: &[Vec<NetPosition>]) -> Vec<Query<'_>> {
+    sets.iter().map(|q| Query::new(algo, q)).collect()
 }

@@ -17,7 +17,9 @@
 mod common;
 
 use common::{build, params};
-use msq_core::{Algorithm, DistEngine, DistResult, Metric, SkylineEngine, SkylinePoint};
+use msq_core::{
+    Algorithm, DistEngine, DistResult, InProcessBackend, Metric, SkylineEngine, SkylinePoint,
+};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -48,7 +50,7 @@ fn assert_dist_contract(engine: &SkylineEngine, queries: &[NetPosition], label: 
             let dist = DistEngine::new(engine, k);
             let mut base: Option<(DistResult, String)> = None;
             for workers in WORKER_COUNTS {
-                let r = dist.run_local(algo, queries, workers);
+                let r = dist.run(algo, queries, &InProcessBackend { workers });
                 assert_eq!(
                     canon_points(&r.skyline),
                     want,
@@ -122,7 +124,7 @@ fn smoke_k4() {
     let (engine, queries) = common::workload(7, 8, 8, 100, 0.6, 3, 0.2, 1.4);
     let single = engine.run(Algorithm::Lbc, &queries);
     let dist = DistEngine::new(&engine, 4);
-    let r = dist.run_local(Algorithm::Lbc, &queries, 2);
+    let r = dist.run(Algorithm::Lbc, &queries, &InProcessBackend { workers: 2 });
     assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
     // Protocol shape: one broadcast round, one summary round, at most
     // one poll round per shard; every message was counted.
@@ -143,7 +145,7 @@ fn single_shard_is_single_machine() {
     let (engine, queries) = common::workload(21, 6, 6, 60, 0.8, 2, 0.3, 1.5);
     let single = engine.run(Algorithm::Ce, &queries);
     let dist = DistEngine::new(&engine, 1);
-    let r = dist.run_local(Algorithm::Ce, &queries, 1);
+    let r = dist.run(Algorithm::Ce, &queries, &InProcessBackend { workers: 1 });
     assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
     assert_eq!(r.comm.shards_pruned, 0);
     assert_eq!(r.comm.candidates_local, single.skyline.len() as u64);
@@ -158,7 +160,7 @@ fn oversharding_stays_exact() {
     let (engine, queries) = common::workload(33, 4, 4, 18, 0.3, 2, 0.0, 1.1);
     let single = engine.run(Algorithm::Edc, &queries);
     let dist = DistEngine::new(&engine, 8);
-    let r = dist.run_local(Algorithm::Edc, &queries, 8);
+    let r = dist.run(Algorithm::Edc, &queries, &InProcessBackend { workers: 8 });
     assert_eq!(canon_points(&r.skyline), canon_points(&single.skyline));
     let empty = r.shards.iter().filter(|s| s.objects == 0).count();
     for s in r.shards.iter().filter(|s| s.objects == 0) {

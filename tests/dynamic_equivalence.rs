@@ -7,8 +7,7 @@
 //! from-scratch [`msq_core::SkylineEngine`] built over the mutated
 //! network and surviving slot layout:
 //!
-//! * against the brute-force oracle, and against CE, EDC and LBC at 1, 2
-//!   and 8 intra-query workers;
+//! * against the brute-force oracle, and against CE, EDC and LBC;
 //! * under all three bound oracles (Euclid, ALT landmarks, Hilbert
 //!   blocks), including the staleness degradation a weight decrease
 //!   triggers.
@@ -50,7 +49,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Churn batches applied incrementally == scratch rebuild, bitwise,
-    /// across bound oracles, algorithms and worker counts.
+    /// across bound oracles and algorithms.
     #[test]
     fn incremental_skyline_matches_scratch_under_churn(
         p in common::params(),
@@ -86,19 +85,17 @@ proptest! {
                     spec, round, p
                 );
                 for algo in Algorithm::PAPER_SET {
-                    for workers in [1usize, 2, 8] {
-                        let r = scratch.run_parallel(algo, &points, workers);
-                        prop_assert!(
-                            r.completion.is_complete(),
-                            "{} unexpectedly partial", algo.name()
-                        );
-                        prop_assert_eq!(
-                            &maintained,
-                            &canon(&r),
-                            "{:?} round {}: maintained != scratch {} at {} workers on {:?}",
-                            spec, round, algo.name(), workers, p
-                        );
-                    }
+                    let r = scratch.run(algo, &points);
+                    prop_assert!(
+                        r.completion.is_complete(),
+                        "{} unexpectedly partial", algo.name()
+                    );
+                    prop_assert_eq!(
+                        &maintained,
+                        &canon(&r),
+                        "{:?} round {}: maintained != scratch {} on {:?}",
+                        spec, round, algo.name(), p
+                    );
                 }
             }
         }

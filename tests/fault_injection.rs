@@ -9,8 +9,8 @@
 //!   the skyline, its vectors and the page-fault count are bitwise
 //!   identical to the fault-free run;
 //! * the same seed reproduces the same schedule: two runs agree on every
-//!   counter, and parallel runs agree at 1, 2 and 8 workers because each
-//!   private session replays the same page/attempt sequence;
+//!   counter, and [`BatchEngine`] runs agree at 1, 2 and 8 workers because
+//!   each private session replays the same page/attempt sequence;
 //! * a page-fault cap composes with injection: the run degrades to a
 //!   sound partial result instead of failing.
 //!
@@ -20,11 +20,13 @@
 
 mod common;
 
-use common::{canon, workload};
+use common::{canon, queries_of, workload};
 use msq_core::{
-    Algorithm, FaultPlan, IncompleteReason, Metric, QueryBudget, SkylineEngine, SkylineResult,
+    Algorithm, BatchEngine, FaultPlan, IncompleteReason, Metric, Query, QueryBudget, SkylineEngine,
+    SkylineResult,
 };
 use rn_graph::NetPosition;
+use rn_workload::generate_queries;
 
 const ALL: [Algorithm; 5] = [
     Algorithm::Ce,
@@ -108,31 +110,54 @@ fn same_seed_reproduces_the_same_schedule() {
     engine.set_fault_plan(None);
 }
 
-/// The headline chaos property: under a fixed fault plan the whole result
-/// — skyline, vectors, fault counts, injection/retry/backoff counters —
-/// is bitwise identical at 1, 2 and 8 workers.
+/// The fixture's query set plus two more: a small batch for the
+/// [`BatchEngine`] contracts.
+fn fixture_batch(engine: &SkylineEngine, queries: Vec<NetPosition>) -> Vec<Vec<NetPosition>> {
+    let mut batch = vec![queries];
+    batch.extend((0..2).map(|i| generate_queries(engine.network(), 3, 0.3, 500 + i)));
+    batch
+}
+
+/// The headline chaos property: under a fixed fault plan every batch
+/// result — skyline, vectors, fault counts, injection/retry/backoff
+/// counters — is bitwise identical at 1, 2 and 8 workers, and each
+/// query's answer and injection count match its sequential cold run,
+/// because every private session replays the same page/attempt sequence.
 #[test]
 fn faulted_parallel_runs_are_worker_count_invariant() {
     let (engine, queries) = fixture();
+    let batch = fixture_batch(&engine, queries);
     engine.set_fault_plan(Some(FaultPlan::new(0xBAD5EED, FAIL_PER_64K)));
     for algo in ALL {
-        let base = engine.run_parallel(algo, &queries, 1);
-        assert!(injected(&base) > 0, "{}", algo.name());
+        let queries = queries_of(algo, &batch);
+        let base = BatchEngine::new(&engine, 1).run(&queries);
+        assert!(base.io.injected_errors > 0, "{}", algo.name());
+        for (r, points) in base.results.iter().zip(&batch) {
+            let seq = engine.run_cold(algo, points);
+            assert_eq!(canon(r), canon(&seq), "{}", algo.name());
+            assert_eq!(injected(r), injected(&seq), "{}", algo.name());
+        }
         for workers in [2usize, 8] {
-            let r = engine.run_parallel(algo, &queries, workers);
+            let out = BatchEngine::new(&engine, workers).run(&queries);
+            for (q, (r, b)) in out.results.iter().zip(&base.results).enumerate() {
+                assert_eq!(
+                    canon(r),
+                    canon(b),
+                    "{}: faulted skyline of query {q} diverged at {workers} workers",
+                    algo.name()
+                );
+                assert_eq!(
+                    r.trace.to_json(),
+                    b.trace.to_json(),
+                    "{}: faulted trace of query {q} diverged at {workers} workers",
+                    algo.name()
+                );
+            }
             assert_eq!(
-                canon(&r),
-                canon(&base),
-                "{}: faulted skyline diverged at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.trace.to_json(),
+                out.trace.to_json(),
                 base.trace.to_json(),
-                "{}: faulted trace diverged at {} workers",
-                algo.name(),
-                workers
+                "{}: merged faulted trace diverged at {workers} workers",
+                algo.name()
             );
         }
     }
@@ -140,53 +165,63 @@ fn faulted_parallel_runs_are_worker_count_invariant() {
 }
 
 /// Budget + faults compose: a page-fault cap under an active fault plan
-/// degrades to a sound partial answer, deterministically across worker
-/// counts.
+/// degrades every batch query to a sound partial answer,
+/// deterministically across batch worker counts.
 #[test]
 fn page_fault_cap_composes_with_injection() {
     let (engine, queries) = fixture();
+    let batch = fixture_batch(&engine, queries);
     engine.set_fault_plan(None);
-    let brute = engine.run(Algorithm::Brute, &queries);
+    let brutes: Vec<SkylineResult> = batch
+        .iter()
+        .map(|q| engine.run(Algorithm::Brute, q))
+        .collect();
     engine.set_fault_plan(Some(FaultPlan::new(11, FAIL_PER_64K)));
     for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-        let full = engine.run_parallel(algo, &queries, 2);
-        let cap = (full.stats.network_pages / 2).max(1);
-        let budget = QueryBudget::unlimited().with_max_page_faults(cap);
-        let base = engine.run_parallel_with_budget(algo, &queries, 1, &budget);
-        let info = base
-            .completion
-            .partial()
-            .unwrap_or_else(|| panic!("{}: halved fault cap must trip", algo.name()));
-        assert_eq!(
-            info.reason,
-            IncompleteReason::PageFaultCap,
-            "{}",
-            algo.name()
-        );
-        for p in &base.skyline {
-            let want = brute
-                .vector_of(p.object)
-                .unwrap_or_else(|| panic!("{}: {:?} not in true skyline", algo.name(), p.object));
-            for (a, b) in p.vector.iter().zip(want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{}", algo.name());
+        let full = BatchEngine::new(&engine, 1).run(&queries_of(algo, &batch));
+        // Half of each query's own fault count: every query trips.
+        let capped: Vec<Query<'_>> = full
+            .results
+            .iter()
+            .zip(&batch)
+            .map(|(r, points)| Query {
+                budget: QueryBudget::unlimited()
+                    .with_max_page_faults((r.stats.network_pages / 2).max(1)),
+                ..Query::new(algo, points)
+            })
+            .collect();
+        let base = BatchEngine::new(&engine, 1).run(&capped);
+        for (r, brute) in base.results.iter().zip(&brutes) {
+            let info = r
+                .completion
+                .partial()
+                .unwrap_or_else(|| panic!("{}: halved fault cap must trip", algo.name()));
+            assert_eq!(
+                info.reason,
+                IncompleteReason::PageFaultCap,
+                "{}",
+                algo.name()
+            );
+            for p in &r.skyline {
+                let want = brute.vector_of(p.object).unwrap_or_else(|| {
+                    panic!("{}: {:?} not in true skyline", algo.name(), p.object)
+                });
+                for (a, b) in p.vector.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{}", algo.name());
+                }
             }
         }
         for workers in [2usize, 8] {
-            let r = engine.run_parallel_with_budget(algo, &queries, workers, &budget);
-            assert_eq!(
-                canon(&r),
-                canon(&base),
-                "{} at {} workers",
-                algo.name(),
-                workers
-            );
-            assert_eq!(
-                r.completion,
-                base.completion,
-                "{} completion diverged at {} workers",
-                algo.name(),
-                workers
-            );
+            let out = BatchEngine::new(&engine, workers).run(&capped);
+            for (r, b) in out.results.iter().zip(&base.results) {
+                assert_eq!(canon(r), canon(b), "{} at {workers} workers", algo.name());
+                assert_eq!(
+                    r.completion,
+                    b.completion,
+                    "{} completion diverged at {workers} workers",
+                    algo.name()
+                );
+            }
         }
     }
     engine.set_fault_plan(None);

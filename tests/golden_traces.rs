@@ -16,7 +16,7 @@
 
 mod common;
 
-use msq_core::{Algorithm, DynamicEngine, Metric, SkylineEngine};
+use msq_core::{Algorithm, DynamicEngine, InProcessBackend, Metric, SkylineEngine};
 use rn_graph::NetPosition;
 use rn_workload::{ChurnConfig, UpdateStream};
 use std::path::PathBuf;
@@ -174,7 +174,7 @@ fn dynamic_maintenance_matches_golden_trace() {
 fn dist_matches_golden_trace() {
     let (engine, queries) = fixture();
     let dist = msq_core::DistEngine::new(&engine, 4);
-    let r = dist.run_local(Algorithm::Lbc, &queries, 2);
+    let r = dist.run(Algorithm::Lbc, &queries, &InProcessBackend { workers: 2 });
 
     // -- Snapshot: the feature-stable counter export ----------------------
     assert_matches_golden("dist", &r.trace.counters_json());

@@ -9,14 +9,14 @@
 //! * every algorithm (CE, EDC, EDC-batch, LBC, LBC-noplb) returns a
 //!   **bitwise identical** skyline under Euclid, ALT and block-pair
 //!   bounds;
-//! * the same holds for `run_parallel` at 1, 2 and 8 workers;
+//! * the same holds for [`msq_core::BatchEngine`] at 1, 2 and 8 workers;
 //! * the oracles never *increase* the A\* expansion count on the
 //!   EDC/LBC paths they were built to prune.
 
 mod common;
 
-use common::{build, canon, params};
-use msq_core::{Algorithm, BoundSpec, SkylineEngine};
+use common::{build, canon, params, queries_of};
+use msq_core::{Algorithm, BatchEngine, BoundSpec, SkylineEngine};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
 use rn_workload::generate_queries;
@@ -68,18 +68,23 @@ proptest! {
         engine.set_bound(BoundSpec::Euclid);
     }
 
-    /// Parallel: worker count and bound kind are both irrelevant to the
+    /// Batch: worker count and bound kind are both irrelevant to the
     /// answer — 3 bounds x 3 worker counts, one skyline per algorithm.
     #[test]
     fn parallel_skylines_match_at_every_worker_count(p in params()) {
         let Some(mut engine) = build(&p) else { return Ok(()) };
-        let queries = queries_for(&engine, p.nq, p.seed + 13);
+        let batch = vec![
+            queries_for(&engine, p.nq, p.seed + 13),
+            queries_for(&engine, p.nq, p.seed + 14),
+        ];
         for algo in [Algorithm::Ce, Algorithm::Edc, Algorithm::Lbc] {
-            let mut base: Option<Vec<(u32, Vec<u64>)>> = None;
+            let queries = queries_of(algo, &batch);
+            let mut base = None;
             for spec in SPECS {
                 engine.set_bound(spec);
                 for workers in [1usize, 2, 8] {
-                    let got = canon(&engine.run_parallel(algo, &queries, workers));
+                    let out = BatchEngine::new(&engine, workers).run(&queries);
+                    let got: Vec<_> = out.results.iter().map(canon).collect();
                     match &base {
                         None => base = Some(got),
                         Some(b) => prop_assert_eq!(

@@ -17,7 +17,7 @@
 
 mod common;
 
-use common::{build, canon, params};
+use common::{build, canon, params, queries_of};
 use msq_core::{Algorithm, BatchEngine};
 use proptest::prelude::*;
 use rn_graph::NetPosition;
@@ -45,11 +45,12 @@ proptest! {
             .collect();
         for algo in Algorithm::PAPER_SET {
             let want: Vec<_> = batch.iter().map(|qs| canon(&engine.run_cold(algo, qs))).collect();
+            let queries = queries_of(algo, &batch);
             for shards in [1usize, 2, 8] {
                 for readahead in [0usize, 4] {
                     for workers in [1usize, 2, 8] {
                         let out = BatchEngine::new(&engine, workers)
-                            .run_shared(algo, &batch, shared_config(shards, readahead));
+                            .run_shared(&queries, shared_config(shards, readahead));
                         let got: Vec<_> = out.results.iter().map(canon).collect();
                         prop_assert_eq!(
                             &got,
@@ -72,14 +73,15 @@ proptest! {
         let batch: Vec<Vec<NetPosition>> = (0..3)
             .map(|i| generate_queries(engine.network(), p.nq, 0.5, p.seed + 30 + i))
             .collect();
+        let queries = queries_of(Algorithm::Lbc, &batch);
         let base = BatchEngine::new(&engine, 1)
-            .run_shared(Algorithm::Lbc, &batch, shared_config(1, 0))
+            .run_shared(&queries, shared_config(1, 0))
             .io;
         prop_assert_eq!(base.faults, base.cold_faults, "no evictions expected: {:?}", p);
         for shards in [1usize, 2, 8] {
             for workers in [1usize, 2, 8] {
                 let io = BatchEngine::new(&engine, workers)
-                    .run_shared(Algorithm::Lbc, &batch, shared_config(shards, 0))
+                    .run_shared(&queries, shared_config(shards, 0))
                     .io;
                 prop_assert_eq!(
                     io.faults,
@@ -102,9 +104,10 @@ proptest! {
             .map(|i| generate_queries(engine.network(), p.nq, 0.5, p.seed + 40 + i))
             .collect();
         for algo in Algorithm::PAPER_SET {
-            let base = BatchEngine::new(&engine, 1).run(algo, &batch).io;
+            let queries = queries_of(algo, &batch);
+            let base = BatchEngine::new(&engine, 1).run(&queries).io;
             for workers in [2usize, 8] {
-                let io = BatchEngine::new(&engine, workers).run(algo, &batch).io;
+                let io = BatchEngine::new(&engine, workers).run(&queries).io;
                 prop_assert_eq!(
                     io,
                     base,

@@ -4,8 +4,7 @@
 //! through [`msq_core::SweepMode`]) are a pure cost optimisation: for
 //! every algorithm that resolves distance batches — EDC in both forms,
 //! LBC with and without plb — the batched and the single-target engines
-//! must return **bitwise identical** skyline sets and distance vectors,
-//! sequentially and at 1, 2 and 8 workers.
+//! must return **bitwise identical** skyline sets and distance vectors.
 //!
 //! Run with `--features msq-core/invariant-checks` (the CI contracts job
 //! does) to execute the same property with the pack sweep's heap-pop
@@ -14,8 +13,9 @@
 mod common;
 
 use common::{build, canon, params};
-use msq_core::{Algorithm, Metric, SweepMode};
+use msq_core::{Algorithm, Metric, Query, SkylineEngine, SkylineResult, SweepMode};
 use proptest::prelude::*;
+use rn_graph::NetPosition;
 use rn_workload::generate_queries;
 
 /// The algorithms whose distance resolution goes through batches. CE and
@@ -27,41 +27,44 @@ const BATCHING_ALGOS: [Algorithm; 4] = [
     Algorithm::LbcNoPlb,
 ];
 
+/// A cold run of `algo` under an explicit sweep mode.
+fn run_cold_with_mode(
+    engine: &SkylineEngine,
+    algo: Algorithm,
+    queries: &[NetPosition],
+    sweep: SweepMode,
+) -> SkylineResult {
+    engine.clear_buffer();
+    let q = Query {
+        sweep,
+        ..Query::new(algo, queries)
+    };
+    engine.execute(&q, engine.store_ref())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batched == single-target, bitwise, for every batching algorithm:
-    /// sequentially and at every worker count.
+    /// Batched == single-target, bitwise, for every batching algorithm.
     #[test]
     fn batched_sweeps_match_single_target_bitwise(p in params()) {
         let Some(engine) = build(&p) else { return Ok(()) };
         let queries = generate_queries(engine.network(), p.nq, 0.5, p.seed + 7);
         for algo in BATCHING_ALGOS {
-            let single = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
+            let single = run_cold_with_mode(&engine, algo, &queries, SweepMode::SingleTarget);
             // Single-target mode must never open a pack.
             prop_assert_eq!(
                 single.trace.get(Metric::SpAstarPackSweeps), 0,
                 "{} recorded pack sweeps in single-target mode: {:?}",
                 algo.name(), p
             );
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let batched = run_cold_with_mode(&engine, algo, &queries, SweepMode::Batched);
             prop_assert_eq!(
                 canon(&batched),
                 canon(&single),
                 "{} batched skyline != single-target: {:?}",
                 algo.name(), p
             );
-            for workers in [1usize, 2, 8] {
-                let r = engine.run_parallel_with_mode(
-                    algo, &queries, workers, SweepMode::Batched,
-                );
-                prop_assert_eq!(
-                    canon(&r),
-                    canon(&single),
-                    "{} parallel batched skyline != single-target: workers={}, {:?}",
-                    algo.name(), workers, p
-                );
-            }
         }
     }
 
@@ -79,8 +82,8 @@ proptest! {
         let Some(engine) = build(&p) else { return Ok(()) };
         let queries = generate_queries(engine.network(), p.nq, 0.5, p.seed + 13);
         for algo in [Algorithm::Edc, Algorithm::EdcBatch] {
-            let single = engine.run_cold_with_mode(algo, &queries, SweepMode::SingleTarget);
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let single = run_cold_with_mode(&engine, algo, &queries, SweepMode::SingleTarget);
+            let batched = run_cold_with_mode(&engine, algo, &queries, SweepMode::Batched);
             prop_assert!(
                 batched.trace.get(Metric::SpAstarRetargets)
                     <= single.trace.get(Metric::SpAstarRetargets),
@@ -106,7 +109,7 @@ proptest! {
             );
         }
         for algo in [Algorithm::Lbc, Algorithm::LbcNoPlb] {
-            let batched = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+            let batched = run_cold_with_mode(&engine, algo, &queries, SweepMode::Batched);
             // Every sweep carries at least one destination (empty packs
             // are free no-ops and never counted).
             prop_assert!(
@@ -127,7 +130,7 @@ proptest! {
 fn fixture_runs_resolve_through_packs() {
     let (engine, queries) = common::workload(2, 8, 8, 90, 0.8, 3, 0.3, 1.4);
     for algo in BATCHING_ALGOS {
-        let r = engine.run_cold_with_mode(algo, &queries, SweepMode::Batched);
+        let r = run_cold_with_mode(&engine, algo, &queries, SweepMode::Batched);
         assert!(
             r.trace.get(Metric::SpAstarPackSweeps) > 0,
             "{}: no pack sweeps on the fixture workload",
