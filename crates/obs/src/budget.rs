@@ -192,6 +192,9 @@ impl ExecGuard {
     /// `faults_now` is the store's current total fault count. Returns
     /// `false` when the budget is exhausted — the caller must stop
     /// expanding and surface an interrupted (not exhausted) wavefront.
+    // lint: allow(det-taint) — the deadline comparison reads the wall
+    // clock, but a trip only truncates the search (sound partial); the
+    // surviving results are byte-identical to an untruncated prefix.
     #[inline]
     pub fn tick_expansion(&self, faults_now: u64) -> bool {
         if self.tripped.load(Ordering::Relaxed) {
@@ -204,30 +207,6 @@ impl ExecGuard {
                 return false;
             }
         }
-        self.check_common(faults_now)
-    }
-
-    /// Barrier check against externally merged absolute totals: compares
-    /// them against the caps without touching the guard's own expansion
-    /// counter. Returns `false` when the budget is exhausted.
-    pub fn observe(&self, expansions_total: u64, faults_now: u64) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return false;
-        }
-        if let Some(cap) = self.max_expansions {
-            if expansions_total > cap {
-                self.trip(IncompleteReason::ExpansionCap);
-                return false;
-            }
-        }
-        self.check_common(faults_now)
-    }
-
-    /// The cancel/fault/deadline checks shared by both entry points.
-    // lint: allow(det-taint) — the deadline comparison reads the wall
-    // clock, but a trip only truncates the search (sound partial); the
-    // surviving results are byte-identical to an untruncated prefix.
-    fn check_common(&self, faults_now: u64) -> bool {
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
                 self.trip(IncompleteReason::Cancelled);
@@ -285,7 +264,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(g.tick_expansion(999));
         }
-        assert!(g.observe(u64::MAX, u64::MAX));
+        assert!(g.tick_expansion(u64::MAX));
         assert!(!g.tripped());
         assert_eq!(g.reason(), None);
     }
@@ -302,7 +281,7 @@ mod tests {
         assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
         // Latched: later checks stay tripped and keep the first reason.
         assert!(!g.tick_expansion(0));
-        assert!(!g.observe(0, 0));
+        assert!(g.tripped());
         assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
     }
 
@@ -316,15 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_compares_absolute_totals() {
-        let b = QueryBudget::unlimited().with_max_expansions(10);
-        let g = ExecGuard::new(&b, 0);
-        assert!(g.observe(10, 0));
-        assert!(!g.observe(11, 0));
-        assert_eq!(g.reason(), Some(IncompleteReason::ExpansionCap));
-    }
-
-    #[test]
     fn cancel_token_trips_every_guard_built_from_it() {
         let token = CancelToken::new();
         let b = QueryBudget::unlimited().with_cancel(token.clone());
@@ -333,7 +303,7 @@ mod tests {
         assert!(g1.tick_expansion(0));
         token.cancel();
         assert!(!g1.tick_expansion(0));
-        assert!(!g2.observe(0, 0));
+        assert!(!g2.tick_expansion(0));
         assert_eq!(g1.reason(), Some(IncompleteReason::Cancelled));
         assert_eq!(g2.reason(), Some(IncompleteReason::Cancelled));
     }

@@ -181,9 +181,9 @@ pub enum Metric {
     /// vector (their entire candidate set is provably dominated).
     DistShardsPruned,
     /// A\*: frontier heap entries whose key was recomputed — the
-    /// frontier size per full re-key (first target, pack sweeps, bounds
-    /// without a retarget shift) plus one per lazily repaired entry:
-    /// the work behind the events `SpAstarRetargets` counts.
+    /// frontier size at every in-place heap rebuild (each `set_target`,
+    /// pack open and mid-sweep pack re-key): the work behind the events
+    /// `SpAstarRetargets` counts.
     SpAstarRekeyEntries,
 }
 

@@ -18,12 +18,11 @@
 //!   the candidate as soon as every `plb` proves it dominated.
 //!
 //! Retargeting keeps the settled map and the frontier's `g` values and
-//! re-keys the frontier heap under the new heuristic. Under a bound that
-//! moves by at most a known shift when the target moves (the Euclidean
-//! bound is 1-Lipschitz in its target), the re-key is lazy: old keys
-//! minus the accumulated shift stay valid heap priorities, and only the
-//! entries that surface at the top are recomputed. Pop order and `plb`
-//! are bitwise those of an eager rebuild (DESIGN.md §11.5).
+//! rebuilds the frontier heap in place under the new heuristic. The heap
+//! holds exactly one live entry per open node, so a rebuild re-keys those
+//! entries, drops the stale ones and heapifies: it costs O(frontier +
+//! stale entries pushed since the last rebuild) and never walks settled
+//! nodes (DESIGN.md §11.5).
 //!
 //! The heuristic itself is pluggable: every evaluation goes through the
 //! context's [`LowerBound`] seam ([`NetCtx::lb`]). The default Euclidean
@@ -39,47 +38,16 @@ use rn_geom::{OrdF64, Point};
 use rn_graph::{NetPosition, NodeId};
 use rn_storage::AdjRecord;
 use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-/// Relative slack added to every lazy retarget shift (DESIGN.md §11.5).
-/// It covers the float rounding of keys, priorities and the shift sum
-/// for keys up to ~10⁶ times `1 + shift sum`, far beyond any network
-/// here, so a stored priority never rises above its entry's true one.
-const SHIFT_SLACK: f64 = 1e-9;
+/// One frontier-heap entry `(key, g, node)`, min-ordered: `key` is
+/// `g + h(node)` under the heuristic of the last rebuild, and `g` tells
+/// the node's live entry (`g` equal to its open label) from stale ones.
+type Entry = Reverse<(OrdF64, OrdF64, NodeId)>;
 
-/// One frontier-heap entry; the heap is a min-heap over the derived
-/// field order.
-///
-/// `key` is `g + h(n)` under the target of the re-key epoch `epoch`;
-/// `prio` is `key` plus the shift sum of that epoch. Priorities of all
-/// epochs are comparable, and an old entry's priority never exceeds the
-/// one its repaired key would get, so the top is either current (and the
-/// true minimum) or due for repair. Within one epoch `prio` is monotone
-/// in `key`, so current entries pop in exact `(key, g, node)` order; on a
-/// priority tie an older epoch sorts first and is repaired first.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
-    prio: OrdF64,
-    epoch: u32,
-    key: OrdF64,
-    g: OrdF64,
-    node: NodeId,
-}
-
-impl Entry {
-    /// An entry keyed in epoch `epoch`, whose shift sum is `shift` (0
-    /// after a full re-key, where `prio == key`).
-    #[inline]
-    fn new(key: f64, shift: f64, epoch: u32, g: f64, node: NodeId) -> Reverse<Entry> {
-        Reverse(Entry {
-            prio: OrdF64::new(key + shift),
-            epoch,
-            key: OrdF64::new(key),
-            g: OrdF64::new(g),
-            node,
-        })
-    }
+#[inline]
+fn entry(key: f64, g: f64, node: NodeId) -> Entry {
+    Reverse((OrdF64::new(key), OrdF64::new(g), node))
 }
 
 /// Per-target state.
@@ -119,7 +87,8 @@ struct PackTarget {
 /// Epoch target whose lower bound from node `n` (at point `p`) is
 /// smallest, with that bound — the minimizer defining the pack heuristic
 /// `h(n)` for new heap keys. A min of consistent bounds is consistent.
-/// Ties break to the lowest index; `None` when the epoch is empty.
+/// Ties break to the lowest index; `None` when no epoch target has a
+/// finite bound (the heuristic is then infinite, see [`pack_h`]).
 fn pack_argmin(
     lb: &dyn LowerBound,
     ts: &[PackTarget],
@@ -139,6 +108,12 @@ fn pack_argmin(
         }
     }
     arg
+}
+
+/// The pack heuristic `h(n)`: the min over epoch targets of their bound,
+/// infinite when none is finite. Such a node keeps its heap entry.
+fn pack_h(lb: &dyn LowerBound, ts: &[PackTarget], n: NodeId, p: Point) -> f64 {
+    pack_argmin(lb, ts, n, p).map_or(f64::INFINITY, |(_, h)| h)
 }
 
 /// A snapshot of one engine's cumulative counters, harvested by the query
@@ -188,21 +163,11 @@ pub struct AStar<'a> {
     dist: NodeMap<f64>,
     /// Frontier: best tentative distance and coordinates.
     open: NodeMap<(f64, Point)>,
-    /// Min-heap keyed by `g + h(current target)`; entries carry `g` so
-    /// stale ones can be skipped after relaxations, and their re-key
-    /// epoch so lazily retargeted ones are repaired before use.
-    heap: BinaryHeap<Reverse<Entry>>,
-    /// Pack-sweep min-heap, keyed by `g + h(pack heuristic)` with `g`
-    /// for stale-skipping. Pack keys never go lazy, so sweeps keep these
-    /// smaller entries apart from `heap`; every switch between the two
-    /// modes rebuilds the heap it enters.
-    pack_heap: BinaryHeap<Reverse<(OrdF64, OrdF64, NodeId)>>,
-    /// Current re-key epoch: bumped by each lazy retarget, reset to 0 by
-    /// each full re-key.
-    epoch: u32,
-    /// Sum of the slackened shifts of the lazy retargets since the last
-    /// full re-key.
-    shift: f64,
+    /// Frontier min-heap keyed by `g + h`, where `h` is the single-target
+    /// or pack heuristic of the last rebuild. Invariant: exactly one live
+    /// entry per open node; stale entries (superseded `g`, or a settled
+    /// node) are skipped at the top and dropped by rebuilds.
+    heap: BinaryHeap<Entry>,
     target: Option<Target>,
     rec: AdjRecord,
     expansions: u64,
@@ -219,8 +184,8 @@ pub struct AStar<'a> {
     /// Re-keys pack sweeps saved versus single-target resolution (which
     /// pays one `set_target` re-key per destination).
     pack_rekeys_avoided: u64,
-    /// Heap entries whose key was recomputed: the frontier size per full
-    /// re-key plus one per lazy repair.
+    /// Heap entries whose key was recomputed: the frontier size at every
+    /// rebuild.
     rekey_entries: u64,
 }
 
@@ -242,9 +207,6 @@ impl<'a> AStar<'a> {
             dist: NodeMap::new(ctx.net.node_count()),
             open: NodeMap::new(ctx.net.node_count()),
             heap: BinaryHeap::new(),
-            pack_heap: BinaryHeap::new(),
-            epoch: 0,
-            shift: 0.0,
             target: None,
             rec: AdjRecord::default(),
             expansions: 0,
@@ -255,12 +217,21 @@ impl<'a> AStar<'a> {
             pack_rekeys_avoided: 0,
             rekey_entries: 0,
         };
-        let edge = ctx.net.edge(source.edge);
-        let (du, dv) = ctx.net.position_endpoint_dists(&source);
-        a.open.insert(edge.u, (du, ctx.net.point(edge.u)));
-        a.open.insert(edge.v, (dv, ctx.net.point(edge.v)));
-        // The heap stays empty until a target defines the heuristic.
+        a.open_source_edge();
         a
+    }
+
+    /// Opens both endpoints of the source edge, each with its heap entry.
+    /// The keys are placeholders: no key is read before the first target
+    /// or pack rebuilds the heap.
+    fn open_source_edge(&mut self) {
+        let net = self.ctx.net;
+        let edge = net.edge(self.source.edge);
+        let (du, dv) = net.position_endpoint_dists(&self.source);
+        for (n, g) in [(edge.u, du), (edge.v, dv)] {
+            self.open.insert(n, (g, net.point(n)));
+            self.heap.push(entry(g, g, n));
+        }
     }
 
     /// Restarts this engine at a new `source` with no target, reusing the
@@ -274,7 +245,6 @@ impl<'a> AStar<'a> {
         self.dist.clear();
         self.open.clear();
         self.heap.clear();
-        self.pack_heap.clear();
         self.target = None;
         self.expansions = 0;
         self.confirms = 0;
@@ -283,10 +253,7 @@ impl<'a> AStar<'a> {
         self.pack_targets = 0;
         self.pack_rekeys_avoided = 0;
         self.rekey_entries = 0;
-        let edge = self.ctx.net.edge(source.edge);
-        let (du, dv) = self.ctx.net.position_endpoint_dists(&source);
-        self.open.insert(edge.u, (du, self.ctx.net.point(edge.u)));
-        self.open.insert(edge.v, (dv, self.ctx.net.point(edge.v)));
+        self.open_source_edge();
     }
 
     /// The source position.
@@ -332,7 +299,7 @@ impl<'a> AStar<'a> {
     }
 
     /// Heap entries whose key was recomputed so far: the frontier size
-    /// of every full re-key plus one per lazily repaired entry.
+    /// at every rebuild.
     pub fn rekey_entries(&self) -> u64 {
         self.rekey_entries
     }
@@ -356,16 +323,9 @@ impl<'a> AStar<'a> {
         self.dist.get_copied(n)
     }
 
-    /// Points the engine at a new target, re-keying the frontier under the
-    /// new heuristic and seeding the best-known path from state already
-    /// settled. Any previous target is abandoned.
-    ///
-    /// The re-key is lazy when the bound reports a finite
-    /// [`LowerBound::retarget_shift`] from the previous single target:
-    /// the epoch advances, the slackened shift joins the shift sum, and
-    /// entries are repaired only as they reach the top of the heap. The
-    /// first target after construction, a rebase or a pack sweep, and
-    /// every retarget under a bound without a shift, rebuild the heap.
+    /// Points the engine at a new target, rebuilding the frontier heap
+    /// under the new heuristic and seeding the best-known path from state
+    /// already settled. Any previous target is abandoned.
     pub fn set_target(&mut self, pos: NetPosition) {
         self.retargets += 1;
         let lbt = LbTarget::of(self.ctx.net, &pos);
@@ -379,44 +339,37 @@ impl<'a> AStar<'a> {
         if let Some(dv) = self.dist.get_copied(lbt.ev) {
             known = known.min(dv + lbt.tv);
         }
-        let shift = match &self.target {
-            Some(old) if self.epoch < u32::MAX => self.ctx.lb.retarget_shift(&old.lbt, &lbt),
-            _ => f64::INFINITY,
-        };
-        // The new target goes in before any key is computed: both the
-        // full re-key and the lazy repairs in frontier_key() key against
-        // it.
+        let lb = self.ctx.lb;
+        self.rebuild(|n, p| lb.node_bound(n, p, &lbt));
+        let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
         self.target = Some(Target {
             pos,
             lbt,
             known,
-            plb: 0.0,
+            plb,
         });
-        if shift.is_finite() {
-            self.epoch += 1;
-            self.shift += shift + SHIFT_SLACK * (1.0 + shift + self.shift);
-        } else {
-            self.rekey_single();
-        }
-        let plb = known.min(self.frontier_key().unwrap_or(f64::INFINITY));
-        self.target.as_mut().expect("target just set").plb = plb;
     }
 
-    /// Rebuilds the frontier heap under the current single target and
-    /// starts a fresh epoch. NodeMap::iter walks only touched nodes, so
-    /// this costs O(|frontier|), not O(|V|).
-    fn rekey_single(&mut self) {
-        let lbt = self.target.as_ref().expect("re-key requires a target").lbt;
-        let lb = self.ctx.lb;
+    /// Rebuilds the frontier heap in place under the heuristic `h`: keeps
+    /// each open node's live entry, re-keys it to `g + h(n, p)`, drops the
+    /// stale entries and heapifies. O(live + stale entries pushed since
+    /// the last rebuild); settled nodes are never walked.
+    fn rebuild(&mut self, h: impl Fn(NodeId, Point) -> f64) {
+        let open = &self.open;
         let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
-        entries.extend(
-            self.open
-                .iter()
-                .map(|(n, &(g, p))| Entry::new(g + lb.node_bound(n, p, &lbt), 0.0, 0, g, n)),
+        entries.retain_mut(|Reverse((key, g, n))| match open.get(*n) {
+            Some(&(cur, p)) if cur == g.get() => {
+                *key = OrdF64::new(cur + h(*n, p));
+                true
+            }
+            _ => false,
+        });
+        #[cfg(feature = "invariant-checks")]
+        assert_eq!(
+            entries.len(),
+            self.open.len(),
+            "A* frontier invariant violated: live heap entries != open nodes"
         );
-        self.epoch = 0;
-        self.shift = 0.0;
         self.rekey_entries += entries.len() as u64;
         self.heap = BinaryHeap::from(entries);
     }
@@ -428,25 +381,13 @@ impl<'a> AStar<'a> {
 
     /// Current key at the top of the frontier heap, i.e. the cheapest
     /// `g + h` of any unsettled node. Stale entries (superseded `g`, or a
-    /// settled node) are dropped; entries keyed in an older epoch are
-    /// re-keyed in place until the top is current.
+    /// settled node) are dropped until the top is live.
     fn frontier_key(&mut self) -> Option<f64> {
-        while let Some(mut top) = self.heap.peek_mut() {
-            let Reverse(e) = *top;
-            match self.open.get(e.node) {
-                Some(&(cur, p)) if cur == e.g.get() => {
-                    if e.epoch == self.epoch {
-                        return Some(e.key.get());
-                    }
-                    let t = self.target.as_ref().expect("an old epoch implies a target");
-                    let key = cur + self.ctx.lb.node_bound(e.node, p, &t.lbt);
-                    self.rekey_entries += 1;
-                    *top = Entry::new(key, self.shift, self.epoch, cur, e.node);
-                }
-                _ => {
-                    PeekMut::pop(top);
-                }
+        while let Some(&Reverse((key, g, n))) = self.heap.peek() {
+            if self.open.get(n).is_some_and(|&(cur, _)| cur == g.get()) {
+                return Some(key.get());
             }
+            self.heap.pop();
         }
         None
     }
@@ -502,15 +443,8 @@ impl<'a> AStar<'a> {
             }
         }
         // Pop the cheapest live frontier node. is_resolved() just cleaned
-        // stale heads and repaired old-epoch ones, so the top is live and
-        // keyed for the current target.
-        let Some(Reverse(Entry {
-            key: _key,
-            g,
-            node: n,
-            ..
-        })) = self.heap.pop()
-        else {
+        // stale heads, so the top is live.
+        let Some(Reverse((_key, g, n))) = self.heap.pop() else {
             return false;
         };
         let g = g.get();
@@ -560,8 +494,7 @@ impl<'a> AStar<'a> {
             if better {
                 self.open.insert(ent.node, (ng, ent.point));
                 let key = ng + self.ctx.lb.node_bound(ent.node, ent.point, &lbt);
-                self.heap
-                    .push(Entry::new(key, self.shift, self.epoch, ng, ent.node));
+                self.heap.push(entry(key, ng, ent.node));
             }
         }
         true
@@ -667,7 +600,7 @@ impl<'a> AStar<'a> {
         #[cfg(feature = "invariant-checks")]
         let mut last_popped = 0.0f64;
         loop {
-            let fmin = self.pack_frontier_key();
+            let fmin = self.frontier_key();
             for t in ts.iter_mut() {
                 if t.resolved {
                     continue;
@@ -697,8 +630,8 @@ impl<'a> AStar<'a> {
                     break;
                 }
             }
-            // pack_frontier_key() cleaned stale heads, so the top is live.
-            let Some(Reverse((_key, g, n))) = self.pack_heap.pop() else {
+            // frontier_key() cleaned stale heads, so the top is live.
+            let Some(Reverse((_key, g, n))) = self.heap.pop() else {
                 continue;
             };
             let g = g.get();
@@ -756,13 +689,8 @@ impl<'a> AStar<'a> {
                 };
                 if better {
                     self.open.insert(ent.node, (ng, ent.point));
-                    if let Some((_, h)) = pack_argmin(self.ctx.lb, &ts, ent.node, ent.point) {
-                        self.pack_heap.push(Reverse((
-                            OrdF64::new(ng + h),
-                            OrdF64::new(ng),
-                            ent.node,
-                        )));
-                    }
+                    let h = pack_h(self.ctx.lb, &ts, ent.node, ent.point);
+                    self.heap.push(entry(ng + h, ng, ent.node));
                 }
             }
 
@@ -790,13 +718,7 @@ impl<'a> AStar<'a> {
             t.in_epoch = !t.resolved;
         }
         let lb = self.ctx.lb;
-        let mut entries = std::mem::take(&mut self.pack_heap).into_vec();
-        entries.clear();
-        entries.extend(self.open.iter().filter_map(|(n, &(g, p))| {
-            pack_argmin(lb, ts, n, p).map(|(_, h)| Reverse((OrdF64::new(g + h), OrdF64::new(g), n)))
-        }));
-        self.rekey_entries += entries.len() as u64;
-        self.pack_heap = BinaryHeap::from(entries);
+        self.rebuild(|n, p| pack_h(lb, ts, n, p));
         if seed_known {
             for t in ts.iter_mut() {
                 if t.resolved {
@@ -810,20 +732,6 @@ impl<'a> AStar<'a> {
                 }
             }
         }
-    }
-
-    /// [`AStar::frontier_key`] for the pack heap: the cheapest live key
-    /// under the pack heuristic, dropping stale entries.
-    fn pack_frontier_key(&mut self) -> Option<f64> {
-        while let Some(Reverse((key, g, n))) = self.pack_heap.peek().copied() {
-            match self.open.get(n) {
-                Some(&(cur, _)) if cur == g.get() => return Some(key.get()),
-                _ => {
-                    self.pack_heap.pop();
-                }
-            }
-        }
-        None
     }
 }
 
@@ -1160,8 +1068,8 @@ mod tests {
         // frontier empty by resolving each target once first.
         let first = astar.distances_to_pack(&targets);
         // Drain the remaining frontier so every node is settled.
-        while astar.pack_frontier_key().is_some() {
-            let Some(Reverse((_, gk, n))) = astar.pack_heap.pop() else {
+        while astar.frontier_key().is_some() {
+            let Some(Reverse((_, gk, n))) = astar.heap.pop() else {
                 break;
             };
             let gk = gk.get();
@@ -1180,9 +1088,7 @@ mod tests {
                 };
                 if better {
                     astar.open.insert(ent.node, (ng, ent.point));
-                    astar
-                        .pack_heap
-                        .push(Reverse((OrdF64::new(ng), OrdF64::new(ng), ent.node)));
+                    astar.heap.push(entry(ng, ng, ent.node));
                 }
             }
         }
@@ -1241,26 +1147,45 @@ mod tests {
 
     #[test]
     fn pack_unreachable_targets_are_infinite() {
+        use crate::oracle::AltOracle;
         let mut b = NetworkBuilder::new();
         let n0 = b.add_node(Point::new(0.0, 0.0));
         let n1 = b.add_node(Point::new(1.0, 0.0));
         let n2 = b.add_node(Point::new(5.0, 0.0));
         let n3 = b.add_node(Point::new(6.0, 0.0));
+        let n4 = b.add_node(Point::new(2.0, 0.0));
         b.add_straight_edge(n0, n1).unwrap();
         b.add_straight_edge(n2, n3).unwrap();
+        b.add_straight_edge(n1, n4).unwrap();
         let g = b.build().unwrap();
         let store = NetworkStore::build(&g);
         let mid = MiddleLayer::build(&g, &[]);
-        let ctx = NetCtx::new(&g, &store, &mid);
-        let mut astar = AStar::new(&ctx, NetPosition::new(EdgeId(0), 0.5));
-        let d = astar.distances_to_pack(&[
+        let alt = AltOracle::build(&g, &store, &mid, 2);
+        let src = NetPosition::new(EdgeId(0), 0.5);
+        let far = [
             NetPosition::new(EdgeId(1), 0.5),
-            NetPosition::new(EdgeId(0), 0.25),
             NetPosition::new(EdgeId(1), 0.1),
-        ]);
-        assert!(d[0].is_infinite());
-        assert!(d[1].is_finite());
-        assert!(d[2].is_infinite());
+        ];
+        for ctx in [
+            NetCtx::new(&g, &store, &mid),
+            NetCtx::new(&g, &store, &mid).with_bound(&alt),
+        ] {
+            let mut astar = AStar::new(&ctx, src);
+            let d = astar.distances_to_pack(&[far[0], NetPosition::new(EdgeId(0), 0.25), far[1]]);
+            assert!(d[0].is_infinite());
+            assert!(d[1].is_finite());
+            assert!(d[2].is_infinite());
+            // ALT proves the far targets unreachable before settling
+            // anything, so the pack ends with the whole frontier keyed at
+            // infinity; those entries must survive for the next target.
+            let mut fresh = AStar::new(&ctx, src);
+            assert!(fresh
+                .distances_to_pack(&far)
+                .iter()
+                .all(|d| d.is_infinite()));
+            let near = fresh.distance_to(NetPosition::new(EdgeId(2), 0.5));
+            assert!((near - 1.0).abs() < 1e-9, "{:?}: {near}", ctx.lb.kind());
+        }
     }
 
     #[test]
@@ -1362,11 +1287,12 @@ mod tests {
         }
     }
 
-    /// Eager-rebuild reference A\*: the test oracle for lazy re-keying.
-    /// It keeps `(key, g, node)` heap entries and rebuilds the whole heap
-    /// from the frontier on every `set_target`, the textbook way; pack
-    /// sweeps are not reimplemented — after one, [`EagerRef::sync`]
-    /// copies the settled map and frontier of the engine under test.
+    /// Eager-rebuild reference A\*: the test oracle for the engine's
+    /// in-place heap rebuilds. It keeps `(key, g, node)` heap entries over
+    /// its own ordered frontier map and rebuilds the whole heap from that
+    /// map on every `set_target`, the textbook way; pack sweeps are not
+    /// reimplemented — after one, [`EagerRef::sync`] copies the settled
+    /// map and frontier of the engine under test.
     #[derive(Clone)]
     struct EagerRef<'c> {
         ctx: &'c NetCtx<'c>,
@@ -1501,69 +1427,101 @@ mod tests {
         }
     }
 
-    /// Steps `lazy` once and checks it against `eager`: the same node
+    /// Steps `engine` once and checks it against `eager`: the same node
     /// settles at the same `g` bits, or both report resolved.
-    fn step_both(lazy: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
-        let next = lazy
+    fn step_both(engine: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
+        let next = engine
             .frontier_key()
-            .and_then(|_| lazy.heap.peek().map(|Reverse(e)| (e.node, e.g.get())));
-        let stepped = lazy.advance();
+            .and_then(|_| engine.heap.peek().map(|&Reverse((_, g, n))| (n, g.get())));
+        let stepped = engine.advance();
         let want = eager.advance();
         assert_eq!(stepped, want.is_some(), "{ctx}: advance disagrees");
         if let Some((n, g)) = want {
-            let (ln, lg) = next.expect("lazy engine stepped");
-            assert_eq!((ln, lg.to_bits()), (n, g.to_bits()), "{ctx}: popped entry");
+            let (en, eg) = next.expect("engine stepped");
+            assert_eq!((en, eg.to_bits()), (n, g.to_bits()), "{ctx}: popped entry");
         }
     }
 
     /// Checks `plb`, `is_resolved` and `result` bitwise.
-    fn probe_both(lazy: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
-        assert_eq!(lazy.plb().to_bits(), eager.plb().to_bits(), "{ctx}: plb");
+    fn probe_both(engine: &mut AStar<'_>, eager: &mut EagerRef<'_>, ctx: &str) {
+        assert_eq!(engine.plb().to_bits(), eager.plb().to_bits(), "{ctx}: plb");
         assert_eq!(
-            lazy.is_resolved(),
+            engine.is_resolved(),
             eager.is_resolved(),
             "{ctx}: is_resolved"
         );
-        let known = lazy.target.as_ref().unwrap().known;
+        let known = engine.target.as_ref().unwrap().known;
         assert_eq!(known.to_bits(), eager.result().to_bits(), "{ctx}: result");
     }
 
+    /// Up to `k` positions on edges whose endpoints `a` has both settled:
+    /// a pack over them is answered from settled state alone.
+    fn settled_positions(a: &AStar<'_>, g: &RoadNetwork, k: usize) -> Vec<NetPosition> {
+        (0..g.edge_count() as u32)
+            .map(EdgeId)
+            .filter(|&e| {
+                let edge = g.edge(e);
+                a.dist.contains(edge.u) && a.dist.contains(edge.v)
+            })
+            .take(k)
+            .map(|e| NetPosition::new(e, 0.5 * g.edge(e).length))
+            .collect()
+    }
+
+    /// An all-settled pack: it confirms every target and returns before
+    /// any rebuild, so the heap keeps its entries and keys and no counter
+    /// but the pack and confirm tallies moves.
+    fn settled_pack_leaves_heap_untouched(a: &mut AStar<'_>, pack: &[NetPosition], ctx: &str) {
+        let heap: Vec<Entry> = a.heap.iter().copied().collect();
+        let before = (a.expansions(), a.retargets(), a.rekey_entries());
+        let got = a.distances_to_pack(pack);
+        assert_eq!(got.len(), pack.len(), "{ctx}: settled pack");
+        let after: Vec<Entry> = a.heap.iter().copied().collect();
+        assert!(heap == after, "{ctx}: settled pack touched the heap");
+        assert_eq!(
+            (a.expansions(), a.retargets(), a.rekey_entries()),
+            before,
+            "{ctx}: settled pack did work"
+        );
+    }
+
     /// Random interleavings of every single-target operation, pack sweeps
-    /// and rebases, with `plb`/`is_resolved`/`result` and every popped
-    /// entry compared bitwise against the eager reference. Returns the
-    /// `(lazy, eager)` entries re-keyed by single-target operations.
+    /// (all-settled ones included) and rebases, with `plb`/`is_resolved`/
+    /// `result` and every popped entry compared bitwise against the eager
+    /// reference. Returns the `(engine, eager)` entries re-keyed by
+    /// single-target operations.
     fn interleave(ctx: &NetCtx<'_>, g: &RoadNetwork, seed: u64, ops: usize) -> (u64, u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        // A small target pool makes repeats (δ = 0) and ping-pong common.
+        // A small target pool makes repeats and ping-pong common.
         let pool: Vec<NetPosition> = (0..6).map(|_| rand_pos(g, &mut rng)).collect();
         let src = rand_pos(g, &mut rng);
-        let mut lazy = AStar::new(ctx, src);
+        let mut engine = AStar::new(ctx, src);
         let mut eager = EagerRef::new(ctx, src);
-        let mut lazy_rekeyed = 0;
+        let mut rekeyed = 0;
         for op in 0..ops {
             let at = format!("seed {seed} op {op}");
-            let before = lazy.rekey_entries();
+            let before = engine.rekey_entries();
             match rng.random_range(0..100) {
                 0..30 => {
                     let t = pool[rng.random_range(0..pool.len())];
-                    lazy.set_target(t);
+                    engine.set_target(t);
                     eager.set_target(t);
-                    probe_both(&mut lazy, &mut eager, &at);
-                    lazy_rekeyed += lazy.rekey_entries() - before;
+                    probe_both(&mut engine, &mut eager, &at);
+                    rekeyed += engine.rekey_entries() - before;
                 }
                 30..85 if eager.target.is_some() => {
                     for _ in 0..rng.random_range(1..6) {
-                        step_both(&mut lazy, &mut eager, &at);
+                        step_both(&mut engine, &mut eager, &at);
                     }
-                    probe_both(&mut lazy, &mut eager, &at);
-                    lazy_rekeyed += lazy.rekey_entries() - before;
+                    probe_both(&mut engine, &mut eager, &at);
+                    rekeyed += engine.rekey_entries() - before;
                 }
-                85..95 => {
+                85..92 => {
                     let k = rng.random_range(1..4);
                     let pack: Vec<NetPosition> = (0..k)
                         .map(|_| pool[rng.random_range(0..pool.len())])
                         .collect();
-                    let got = lazy.distances_to_pack(&pack);
+                    let got = engine.distances_to_pack(&pack);
                     for (i, &t) in pack.iter().enumerate() {
                         let mut exact = eager.clone();
                         exact.set_target(t);
@@ -1574,41 +1532,41 @@ mod tests {
                             "{at}: pack[{i}]"
                         );
                     }
-                    eager.sync(&lazy);
+                    eager.sync(&engine);
                 }
-                95..100 => {
+                92..96 => {
+                    let pack = settled_positions(&engine, g, 3);
+                    if !pack.is_empty() {
+                        settled_pack_leaves_heap_untouched(&mut engine, &pack, &at);
+                        eager.sync(&engine);
+                    }
+                }
+                96..100 => {
                     let s = rand_pos(g, &mut rng);
-                    lazy.rebase(s);
+                    engine.rebase(s);
                     eager.rebase(s);
                 }
                 _ => {}
             }
         }
-        (lazy_rekeyed, eager.rekeyed)
+        (rekeyed, eager.rekeyed)
     }
 
     #[test]
-    fn lazy_rekey_matches_eager_reference_bitwise() {
-        let mut lazy_total = 0;
-        let mut eager_total = 0;
+    fn rebuild_matches_eager_reference_bitwise() {
         for seed in 0..8u64 {
             let g = random_net(80, seed + 900);
             let store = NetworkStore::build(&g);
             let mid = MiddleLayer::build(&g, &[]);
             let ctx = NetCtx::new(&g, &store, &mid);
-            let (l, e) = interleave(&ctx, &g, seed, 400);
-            lazy_total += l;
-            eager_total += e;
+            let (got, want) = interleave(&ctx, &g, seed, 400);
+            // A rebuild re-keys exactly the frontier, as the reference does.
+            assert_eq!(got, want, "seed {seed}: re-keyed entries");
         }
-        // Not vacuous: the Euclidean bound really did retarget lazily.
-        assert!(
-            lazy_total < eager_total,
-            "lazy re-keyed {lazy_total} entries, eager {eager_total}"
-        );
     }
 
     #[test]
-    fn bounds_without_a_shift_take_the_full_rekey() {
+    fn rebuild_matches_eager_reference_under_oracles() {
         use crate::oracle::{AltOracle, BlockOracle};
         for seed in 0..3u64 {
             let g = random_net(70, seed + 950);
@@ -1618,23 +1576,19 @@ mod tests {
             let block = BlockOracle::build(&g, &store, &mid, 16, 0.5);
             for oracle in [&alt as &dyn LowerBound, &block as &dyn LowerBound] {
                 let ctx = NetCtx::new(&g, &store, &mid).with_bound(oracle);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut a = AStar::new(&ctx, rand_pos(&g, &mut rng));
-                for _ in 0..20 {
-                    a.set_target(rand_pos(&g, &mut rng));
-                    assert_eq!(a.epoch, 0, "{:?}: retarget went lazy", oracle.kind());
-                    for _ in 0..3 {
-                        a.advance();
-                    }
-                }
-                let (l, e) = interleave(&ctx, &g, seed + 10, 300);
-                assert_eq!(l, e, "{:?}: every re-key is full", oracle.kind());
+                let (got, want) = interleave(&ctx, &g, seed + 10, 300);
+                assert_eq!(
+                    got,
+                    want,
+                    "{:?} seed {seed}: re-keyed entries",
+                    oracle.kind()
+                );
             }
         }
     }
 
     #[test]
-    fn lazy_rekey_edge_cases_match_eager() {
+    fn rebuild_edge_cases_match_eager() {
         let g = random_net(90, 977);
         let store = NetworkStore::build(&g);
         let mid = MiddleLayer::build(&g, &[]);
@@ -1642,44 +1596,55 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let src = rand_pos(&g, &mut rng);
         let (a, b) = (rand_pos(&g, &mut rng), rand_pos(&g, &mut rng));
-        let mut lazy = AStar::new(&ctx, src);
+        let mut engine = AStar::new(&ctx, src);
         let mut eager = EagerRef::new(&ctx, src);
 
-        // Long A/B ping-pong: the shift sum piles up across hundreds of
-        // epochs with a step or two between retargets. Each plb right
-        // after set_target also catches a repair keyed against the old
-        // target (the new one must be installed first).
+        // Long A/B ping-pong with a step or two between retargets: stale
+        // entries pile up between rebuilds and must all be dropped.
         for round in 0..300 {
             let t = if round % 2 == 0 { a } else { b };
-            lazy.set_target(t);
+            engine.set_target(t);
             eager.set_target(t);
-            probe_both(&mut lazy, &mut eager, &format!("ping-pong {round}"));
+            probe_both(&mut engine, &mut eager, &format!("ping-pong {round}"));
             for _ in 0..(round % 3) {
-                step_both(&mut lazy, &mut eager, &format!("ping-pong {round}"));
+                step_both(&mut engine, &mut eager, &format!("ping-pong {round}"));
             }
         }
-        assert!(lazy.epoch > 100, "ping-pong stayed lazy");
 
-        // Retargeting to the same target: δ = 0.
+        // Retargeting to the same target.
         for i in 0..5 {
-            lazy.set_target(b);
+            engine.set_target(b);
             eager.set_target(b);
-            probe_both(&mut lazy, &mut eager, &format!("same target {i}"));
-            step_both(&mut lazy, &mut eager, &format!("same target {i}"));
+            probe_both(&mut engine, &mut eager, &format!("same target {i}"));
+            step_both(&mut engine, &mut eager, &format!("same target {i}"));
+        }
+        assert_eq!(engine.rekey_entries(), eager.rekeyed, "re-keyed entries");
+
+        // Retargeting right after a pack sweep: the heap holds pack keys.
+        let pack = [rand_pos(&g, &mut rng), rand_pos(&g, &mut rng)];
+        engine.distances_to_pack(&pack);
+        eager.sync(&engine);
+        for (i, t) in [a, b, a].into_iter().enumerate() {
+            engine.set_target(t);
+            eager.set_target(t);
+            probe_both(&mut engine, &mut eager, &format!("after pack {i}"));
+            while eager.target.is_some() && !eager.is_resolved() {
+                step_both(&mut engine, &mut eager, &format!("after pack {i}"));
+            }
         }
 
-        // Retargeting right after a pack sweep: a full re-key of the
-        // pack-keyed heap, then lazy again.
-        let pack = [rand_pos(&g, &mut rng), rand_pos(&g, &mut rng)];
-        lazy.distances_to_pack(&pack);
-        eager.sync(&lazy);
-        for (i, t) in [a, b, a].into_iter().enumerate() {
-            lazy.set_target(t);
+        // Retargeting right after an all-settled pack, which leaves the
+        // previous target's keys in the heap.
+        let settled = settled_positions(&engine, &g, 4);
+        assert!(!settled.is_empty(), "no settled edge to pack");
+        settled_pack_leaves_heap_untouched(&mut engine, &settled, "settled pack");
+        eager.sync(&engine);
+        for (i, t) in [b, a].into_iter().enumerate() {
+            engine.set_target(t);
             eager.set_target(t);
-            assert_eq!(lazy.epoch, i as u32, "pack sweep must force a full re-key");
-            probe_both(&mut lazy, &mut eager, &format!("after pack {i}"));
-            while eager.target.is_some() && !eager.is_resolved() {
-                step_both(&mut lazy, &mut eager, &format!("after pack {i}"));
+            probe_both(&mut engine, &mut eager, &format!("after settled pack {i}"));
+            for _ in 0..3 {
+                step_both(&mut engine, &mut eager, &format!("after settled pack {i}"));
             }
         }
     }

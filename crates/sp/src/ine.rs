@@ -163,17 +163,17 @@ impl<'a> IncrementalExpansion<'a> {
                 continue; // exhausted; loop re-checks pending
             };
             // The adjacency record was just read (and paid for); probe the
-            // middle layer for each incident edge.
+            // middle layer once for each incident edge.
+            let mid = self.ctx.mid;
             for i in 0..self.dij.last_adjacency().entries.len() {
                 let ent = self.dij.last_adjacency().entries[i];
-                let recs = self.ctx.mid.objects_on_edge(ent.edge);
+                let recs = mid.objects_on_edge(ent.edge);
                 if recs.is_empty() {
                     continue;
                 }
                 // Orientation: is `node` the u or the v endpoint?
                 let at_u = self.ctx.net.edge(ent.edge).u == node;
-                for k in 0..recs.len() {
-                    let rec = self.ctx.mid.objects_on_edge(ent.edge)[k];
+                for rec in recs {
                     let off = if at_u { rec.d_u } else { rec.d_v };
                     self.relax_object(rec.object, dist + off);
                 }

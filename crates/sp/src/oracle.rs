@@ -187,18 +187,6 @@ pub trait LowerBound: Send + Sync {
     /// required here. Never below the Euclidean point distance.
     fn pair_bound(&self, a: &LbTarget, b: &LbTarget) -> f64;
 
-    /// How far [`LowerBound::node_bound`] can fall, at any node, when the
-    /// target moves from `from` to `to`: every `node_bound(n, p, from) −
-    /// retarget_shift(from, to)` must still lower-bound
-    /// `node_bound(n, p, to)`. A\* uses it to retarget lazily, repairing
-    /// heap keys only as they surface (DESIGN.md §11.5). The default,
-    /// `f64::INFINITY`, promises nothing and makes every retarget a full
-    /// frontier re-key.
-    fn retarget_shift(&self, from: &LbTarget, to: &LbTarget) -> f64 {
-        let _ = (from, to);
-        f64::INFINITY
-    }
-
     /// Snapshot of the hit accounting (zeros for [`EuclidBound`]).
     fn counters(&self) -> LbCounters {
         LbCounters::default()
@@ -254,13 +242,6 @@ impl LowerBound for EuclidBound {
     #[inline]
     fn pair_bound(&self, a: &LbTarget, b: &LbTarget) -> f64 {
         a.point.distance(&b.point)
-    }
-
-    /// `d_E(from, to)`: the Euclidean bound is 1-Lipschitz in its target
-    /// (triangle inequality), so no node's bound falls by more.
-    #[inline]
-    fn retarget_shift(&self, from: &LbTarget, to: &LbTarget) -> f64 {
-        from.point.distance(&to.point)
     }
 }
 
